@@ -164,8 +164,10 @@ func evaluatePlan(d *Dataset, p Plan, method FeatureSelector, split *Split, sp *
 	if err != nil {
 		return PlanOutcome{}, err
 	}
+	// Count now, so the unsplit design is not kept live through selection.
+	inputFeatures := design.NumFeatures()
 	mat.Add("rows", int64(design.NumRows()))
-	mat.Add("features", int64(design.NumFeatures()))
+	mat.Add("features", int64(inputFeatures))
 	train, val, test := split.Apply(design)
 	sel := sp.Child("select(" + method.Name() + ")")
 	start := time.Now()
@@ -184,10 +186,10 @@ func evaluatePlan(d *Dataset, p Plan, method FeatureSelector, split *Split, sp *
 		return PlanOutcome{}, err
 	}
 	sp.Add("evaluations", int64(res.Evaluations))
-	sp.Add("input_features", int64(design.NumFeatures()))
+	sp.Add("input_features", int64(inputFeatures))
 	return PlanOutcome{
 		Plan:          p,
-		InputFeatures: design.NumFeatures(),
+		InputFeatures: inputFeatures,
 		Selected:      res.FeatureNames(train),
 		ValError:      res.ValError,
 		TestError:     testErr,

@@ -14,12 +14,15 @@
 // legacy bare-array snapshots from earlier commits, or raw `go test -bench`
 // output. Benchmarks are aligned by name; with -count N samples on both
 // sides, a Welch t-test (internal/stats) filters run-to-run noise at level
-// -alpha, and single-sample comparisons fall back to the threshold alone.
+// -alpha. A benchmark with a single sample on either side falls back to the
+// threshold alone, but a baseline with fewer than 2 samples for every
+// aligned benchmark cannot gate anything and is rejected as vacuous.
 //
 // Exit status: 0 when no benchmark regressed beyond -threshold, 1 when at
 // least one did (so CI can gate on it), 2 on usage or parse errors, 3 when
 // the comparison would be vacuous — the old (baseline) snapshot does not
-// exist, or the two snapshots share zero benchmark names. The distinct code
+// exist, the two snapshots share zero benchmark names, or the baseline has a
+// single sample for every shared benchmark. The distinct code
 // lets CI tell "the gate passed" from "the gate never ran": a missing or
 // disjoint baseline must not masquerade as a clean pass. The convention is
 // shared with `report diff` (see internal/exitcode).
@@ -94,6 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fs.Arg(0), len(oldSnap.Benchmarks), fs.Arg(1), len(newSnap.Benchmarks))
 		return exitVacuous
 	}
+	if singleSampleBaseline(rep) {
+		fmt.Fprintf(stderr, "benchdiff: baseline %s has fewer than 2 samples for every one of the %d aligned benchmarks, so no delta can be t-tested; the comparison is vacuous, not a pass (regenerate it with scripts/bench.sh -count 5)\n",
+			fs.Arg(0), len(rep.Deltas))
+		return exitVacuous
+	}
 	regressions := rep.Regressions(*threshold, *alpha)
 	memRegressions := rep.MemRegressions(*memThreshold, *alpha)
 	if !*quiet {
@@ -131,6 +139,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitRegression
 	}
 	return exitOK
+}
+
+// singleSampleBaseline reports whether no aligned benchmark has at least two
+// baseline samples. A single sample has no variance, so every delta would
+// have an untestable (NaN) p-value and count as significant: any noise past
+// the threshold would fail the gate.
+func singleSampleBaseline(rep *bench.Report) bool {
+	for _, d := range rep.Deltas {
+		if d.NOld >= 2 {
+			return false
+		}
+	}
+	return true
 }
 
 // writeTable renders the per-benchmark comparison, flagging each row as a

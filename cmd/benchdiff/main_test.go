@@ -148,3 +148,23 @@ func TestSelfComparisonIsAlwaysClean(t *testing.T) {
 		t.Errorf("self-diff geomean should be exactly zero:\n%s", out.String())
 	}
 }
+
+func TestSingleSampleBaselineIsVacuousNotPass(t *testing.T) {
+	var out, errb strings.Builder
+	// The count-1 baseline puts BenchmarkForwardSelection 12% below the
+	// count-3 snapshot: with no baseline variance the delta is untestable,
+	// so the gate must refuse to judge rather than call it a regression.
+	code := run([]string{"testdata/old_count1.json", "testdata/new_ok.json"}, &out, &errb)
+	if code != exitVacuous {
+		t.Fatalf("exit = %d, want %d for a single-sample baseline; stdout:\n%s\nstderr:\n%s", code, exitVacuous, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), "fewer than 2 samples") || !strings.Contains(errb.String(), "-count") {
+		t.Errorf("single-sample message should name the problem and the fix:\n%s", errb.String())
+	}
+	// A multi-sample baseline against a single-sample snapshot still gates:
+	// the baseline side carries the variance.
+	out.Reset()
+	if code := run([]string{"testdata/old.json", "testdata/old_count1.json"}, &out, &errb); code == exitVacuous {
+		t.Fatalf("count-3 baseline vs count-1 snapshot: exit = %d, want a real comparison; stdout:\n%s", code, out.String())
+	}
+}

@@ -44,6 +44,12 @@ type Meta struct {
 	Pattern string `json:"pattern,omitempty"`
 	// Count is the -count value (samples per benchmark).
 	Count int `json:"count,omitempty"`
+	// NumCPU is the number of CPUs the machine offered the suite.
+	NumCPU int `json:"num_cpu,omitempty"`
+	// GOMAXPROCS is the Go scheduler's parallelism during the run.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// CPU is the processor model `go test -bench` reported.
+	CPU string `json:"cpu,omitempty"`
 }
 
 // Sample is one benchmark result line. BytesPerOp and AllocsPerOp are

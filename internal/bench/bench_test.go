@@ -24,6 +24,16 @@ func TestParseMetaFormat(t *testing.T) {
 	}
 }
 
+func TestParseMetaHardware(t *testing.T) {
+	s, err := ParseFile("../../cmd/benchdiff/testdata/old_count1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Meta.NumCPU != 2 || s.Meta.GOMAXPROCS != 2 || s.Meta.CPU != "Intel(R) Xeon(R) Processor" {
+		t.Errorf("hardware meta = %+v", s.Meta)
+	}
+}
+
 func TestParseLegacyArray(t *testing.T) {
 	s, err := ParseFile("testdata/legacy_array.json")
 	if err != nil {

@@ -68,6 +68,8 @@ func (p *prepared) runFS(plan dataset.Plan, method fs.Method) (fsRun, error) {
 	if err != nil {
 		return fsRun{}, err
 	}
+	// Count now, so the unsplit design is not kept live through selection.
+	features := design.NumFeatures()
 	train, val, test := p.split.Apply(design)
 	start := time.Now()
 	res, err := method.Select(nb.New(), train, val)
@@ -76,7 +78,7 @@ func (p *prepared) runFS(plan dataset.Plan, method fs.Method) (fsRun, error) {
 		return fsRun{}, err
 	}
 	sp.Add("evaluations", int64(res.Evaluations))
-	sp.Add("input_features", int64(design.NumFeatures()))
+	sp.Add("input_features", int64(features))
 	sp.Add("selected", int64(len(res.Features)))
 	testErr, err := ml.Evaluate(nb.New(), train, test, res.Features)
 	if err != nil {
@@ -87,7 +89,7 @@ func (p *prepared) runFS(plan dataset.Plan, method fs.Method) (fsRun, error) {
 		selected: res.FeatureNames(train),
 		elapsed:  elapsed,
 		evals:    res.Evaluations,
-		features: design.NumFeatures(),
+		features: features,
 	}, nil
 }
 

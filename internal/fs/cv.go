@@ -5,7 +5,6 @@ import (
 
 	"hamlet/internal/dataset"
 	"hamlet/internal/ml"
-	"hamlet/internal/ml/nb"
 	"hamlet/internal/stats"
 )
 
@@ -30,21 +29,12 @@ func (c CrossValidated) Name() string {
 	return fmt.Sprintf("%s-cv%d", c.Inner.Name(), c.K)
 }
 
-// cvEvaluator scores subsets by k-fold CV error over the pooled data. Like
-// the holdout evaluator it has a Naive Bayes fast path: per-fold sufficient
-// statistics are tabulated once, and a subset's fold error reuses them.
+// cvEvaluator scores subsets by k-fold CV error over the pooled data: the
+// mean of one holdout evaluator per fold, so the Naive Bayes fast path (one
+// subset scorer per fold) and generic retraining are the holdout ones.
 type cvEvaluator struct {
-	pool   *dataset.Design
-	folds  *dataset.KFold
-	metric ml.Metric
-	// fast path: per-fold training statistics and validation designs.
-	foldStats []*nb.Stats
-	foldVal   []*dataset.Design
-	alpha     float64
-	// generic path:
-	learner   ml.Learner
-	foldTrain []*dataset.Design
-	count     int
+	folds []evaluator
+	count int
 }
 
 func newCVEvaluator(l ml.Learner, pool *dataset.Design, k int, seed uint64) (*cvEvaluator, error) {
@@ -52,25 +42,13 @@ func newCVEvaluator(l ml.Learner, pool *dataset.Design, k int, seed uint64) (*cv
 	if err != nil {
 		return nil, err
 	}
-	e := &cvEvaluator{pool: pool, folds: folds, metric: ml.MetricFor(pool.NumClasses)}
-	nbl, fast := l.(*nb.Learner)
-	if fast {
-		e.alpha = nbl.Alpha
-	} else {
-		e.learner = l
-	}
+	e := &cvEvaluator{}
 	for i := 0; i < k; i++ {
 		trIdx, vaIdx, err := folds.Fold(i)
 		if err != nil {
 			return nil, err
 		}
-		train := pool.SelectRows(trIdx)
-		e.foldVal = append(e.foldVal, pool.SelectRows(vaIdx))
-		if fast {
-			e.foldStats = append(e.foldStats, nb.NewStats(train))
-		} else {
-			e.foldTrain = append(e.foldTrain, train)
-		}
+		e.folds = append(e.folds, newEvaluator(l, pool.SelectRows(trIdx), pool.SelectRows(vaIdx)))
 	}
 	return e, nil
 }
@@ -79,21 +57,14 @@ func (e *cvEvaluator) Eval(features []int) (float64, error) {
 	e.count++
 	evalCount.Inc()
 	total := 0.0
-	for i := 0; i < e.folds.K(); i++ {
-		val := e.foldVal[i]
-		var mod ml.Model
-		var err error
-		if e.foldStats != nil {
-			mod, err = nb.ModelFromStats(e.foldStats[i], features, e.alpha)
-		} else {
-			mod, err = e.learner.Fit(e.foldTrain[i], features)
-		}
+	for _, fold := range e.folds {
+		v, err := fold.valError(features)
 		if err != nil {
 			return 0, err
 		}
-		total += e.metric(ml.PredictAll(mod, val), val.Y)
+		total += v
 	}
-	return total / float64(e.folds.K()), nil
+	return total / float64(len(e.folds)), nil
 }
 
 func (e *cvEvaluator) Count() int { return e.count }

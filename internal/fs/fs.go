@@ -9,11 +9,17 @@
 // split; the caller reports final accuracy on the untouched test split.
 //
 // Wrapper search over Naive Bayes uses the decomposability fast path
-// (internal/ml/nb.Stats): sufficient statistics are tabulated once and every
-// candidate subset is evaluated without re-counting, so the cost of greedy
-// search is proportional to the number of (subset, validation-row) pairs
-// scored — which is exactly how the paper's runtimes scale with the number
-// of candidate features, preserving Figure 7's speedup shape.
+// (internal/ml/nb.SubsetScorer): sufficient statistics and per-feature
+// log-likelihood tables are computed once, and each candidate that extends
+// the previous subset or its prefix by one feature (forward selection's
+// current+f, a filter's order[:k]) costs O(validation rows × classes),
+// independent of the subset's size; any other subset (a backward removal)
+// is rebuilt from the prior with one table lookup per (row, class,
+// feature). The cost of greedy search therefore follows the number of
+// subsets scored, which is how the paper's runtimes scale with the number
+// of candidate features (Figure 7).
+// fs.subset_evaluations counts those candidates; no nb.Model is built for
+// them, so nb.models_assembled does not move during selection.
 package fs
 
 import (
@@ -82,15 +88,22 @@ type Evaluator interface {
 // NewEvaluator builds the best evaluator for the learner: the decomposable
 // fast path when l is Naive Bayes, otherwise generic retraining.
 func NewEvaluator(l ml.Learner, train, val *dataset.Design) Evaluator {
+	return newEvaluator(l, train, val)
+}
+
+// evaluator is an Evaluator whose validation error can also be computed
+// without counting an evaluation, so k-fold CV can average k of them as one.
+type evaluator interface {
+	Evaluator
+	valError(features []int) (float64, error)
+}
+
+func newEvaluator(l ml.Learner, train, val *dataset.Design) evaluator {
+	metric := ml.MetricFor(train.NumClasses)
 	if nbl, ok := l.(*nb.Learner); ok {
-		return &nbEvaluator{
-			stats:  nb.NewStats(train),
-			alpha:  nbl.Alpha,
-			val:    val,
-			metric: ml.MetricFor(train.NumClasses),
-		}
+		return &nbEvaluator{scorer: nb.NewSubsetScorer(nb.NewStats(train), nbl.Alpha, val), val: val, metric: metric}
 	}
-	return &genericEvaluator{l: l, train: train, val: val, metric: ml.MetricFor(train.NumClasses)}
+	return &genericEvaluator{l: l, train: train, val: val, metric: metric}
 }
 
 type genericEvaluator struct {
@@ -103,6 +116,10 @@ type genericEvaluator struct {
 func (e *genericEvaluator) Eval(features []int) (float64, error) {
 	e.count++
 	evalCount.Inc()
+	return e.valError(features)
+}
+
+func (e *genericEvaluator) valError(features []int) (float64, error) {
 	mod, err := e.l.Fit(e.train, features)
 	if err != nil {
 		return 0, err
@@ -113,8 +130,7 @@ func (e *genericEvaluator) Eval(features []int) (float64, error) {
 func (e *genericEvaluator) Count() int { return e.count }
 
 type nbEvaluator struct {
-	stats  *nb.Stats
-	alpha  float64
+	scorer *nb.SubsetScorer
 	val    *dataset.Design
 	metric ml.Metric
 	count  int
@@ -123,13 +139,13 @@ type nbEvaluator struct {
 func (e *nbEvaluator) Eval(features []int) (float64, error) {
 	e.count++
 	evalCount.Inc()
-	mod, err := nb.ModelFromStats(e.stats, features, e.alpha)
+	return e.valError(features)
+}
+
+func (e *nbEvaluator) valError(features []int) (float64, error) {
+	pred, err := e.scorer.Predict(features)
 	if err != nil {
 		return 0, err
-	}
-	pred := make([]int32, e.val.NumRows())
-	for i := range pred {
-		pred[i] = mod.Predict(e.val, i)
 	}
 	return e.metric(pred, e.val.Y), nil
 }

@@ -1,6 +1,8 @@
 package fs
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"hamlet/internal/dataset"
@@ -207,14 +209,21 @@ func TestEmbeddedFitBestReturnsModel(t *testing.T) {
 	}
 }
 
+// opaqueNB hides the Naive Bayes learner's type from NewEvaluator, so
+// selection runs through genericEvaluator (refit and PredictAll per subset).
+type opaqueNB struct{ *nb.Learner }
+
 func TestNBFastPathMatchesGenericPath(t *testing.T) {
 	train, val := halves(signalNoise(1500, 3, 9))
 	fast := NewEvaluator(nb.New(), train, val)
 	if _, ok := fast.(*nbEvaluator); !ok {
 		t.Fatal("NB learner should get the decomposable evaluator")
 	}
-	slow := &genericEvaluator{l: nb.New(), train: train, val: val, metric: ml.MetricFor(train.NumClasses)}
-	for _, subset := range [][]int{nil, {0}, {0, 1}, {2, 4}, {0, 1, 2, 3, 4}} {
+	slow := NewEvaluator(opaqueNB{nb.New()}, train, val)
+	if _, ok := slow.(*genericEvaluator); !ok {
+		t.Fatal("the wrapped learner should get the generic evaluator")
+	}
+	for _, subset := range [][]int{nil, {0}, {0, 1}, {2, 4}, {0, 1, 2, 3, 4}, {4, 0}, {0, 1}} {
 		a, err := fast.Eval(subset)
 		if err != nil {
 			t.Fatal(err)
@@ -226,6 +235,37 @@ func TestNBFastPathMatchesGenericPath(t *testing.T) {
 		if a != b {
 			t.Fatalf("fast path %v != generic %v on subset %v", a, b, subset)
 		}
+	}
+	// Whole selection runs: every method must return an identical Result
+	// (features, validation error, evaluation count) on both paths.
+	methods := []Method{Forward{}, Backward{}, MIFilter(), IGRFilter(), CrossValidated{Inner: Forward{}, K: 3, Seed: 4}}
+	for _, seed := range []uint64{9, 13} {
+		train, val := halves(signalNoise(1200, 5, seed))
+		for _, meth := range methods {
+			a, err := meth.Select(nb.New(), train, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := meth.Select(opaqueNB{nb.New()}, train, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("seed %d %s: fast path %+v != generic %+v", seed, meth.Name(), a, b)
+			}
+		}
+	}
+}
+
+func TestNBEvaluatorReturnsModelErrors(t *testing.T) {
+	train, val := halves(signalNoise(100, 1, 14))
+	ev := NewEvaluator(nb.New(), train, val)
+	if _, err := ev.Eval([]int{train.NumFeatures()}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range index: err = %v", err)
+	}
+	ev = NewEvaluator(&nb.Learner{Alpha: 0}, train, val)
+	if _, err := ev.Eval([]int{0}); err == nil || !strings.Contains(err.Error(), "alpha must be positive") {
+		t.Fatalf("alpha 0: err = %v", err)
 	}
 }
 

@@ -3,12 +3,16 @@
 //
 // The key engineering property is decomposability: Naive Bayes sufficient
 // statistics factor per feature, so the class-conditional count table of
-// every candidate feature can be tabulated once per training set and a model
-// over any feature subset assembled in O(1) by referencing those tables.
-// Greedy wrapper feature selection (forward/backward search) then costs only
-// prediction time per candidate subset, never re-counting — this is what
-// makes the paper's Figure 7 runtime comparison tractable and is why the
-// speedups there are driven purely by the number of features in play.
+// every candidate feature is tabulated once per training set (Stats), and
+// each feature's smoothed log-likelihood table log P(x_f = v | c) is derived
+// from it once (logLikTable). A model's class score is then the prior plus
+// one table lookup per feature. SubsetScorer carries this across a greedy
+// search: it keeps the per-row class scores of the last subset it scored and
+// of that subset's prefix, so a candidate that extends either by one feature
+// costs O(validation rows × classes), independent of the subset's size, and
+// never re-counts. This is what makes the paper's Figure 7 runtime
+// comparison tractable; the speedups there are driven by the number of
+// candidate features in play.
 package nb
 
 import (
@@ -21,8 +25,9 @@ import (
 )
 
 // Naive Bayes instrumentation: full sufficient-statistics tabulations (the
-// expensive counting pass), O(1) subset-model assemblies (the wrapper-search
-// fast path), and Learner.Fit calls.
+// expensive counting pass), Model builds from statistics (ModelFromStats,
+// so every Fit; subset scoring in wrapper search builds no Model and is
+// counted by fs.subset_evaluations instead), and Learner.Fit calls.
 var (
 	statsBuilds     = obs.C("nb.stats_builds")
 	statsRowsHist   = obs.H("nb.stats_rows")
@@ -77,7 +82,8 @@ func NewStats(m *dataset.Design) *Stats {
 // Model is a Naive Bayes model over a feature subset, backed by shared
 // sufficient statistics. Predictions use Laplace (add-Alpha) smoothing, the
 // standard remedy for RID values absent from the training instance that the
-// paper adopts (§2.1 footnote 2).
+// paper adopts (§2.1 footnote 2). Features and Alpha are fixed when the model
+// is built: its log-likelihood tables are computed from them.
 type Model struct {
 	stats *Stats
 	// Features are the design-matrix column indices in use.
@@ -86,23 +92,28 @@ type Model struct {
 	Alpha float64
 	// logPrior[c] caches log P(Y=c) with smoothing.
 	logPrior []float64
+	// logLik[i] is the log-likelihood table of Features[i] (see
+	// logLikTable).
+	logLik [][]float64
 }
 
-// Predict returns argmax_c log P(c) + Σ_f log P(x_f | c).
+// score returns log P(c) + Σ_f log P(x_f | c) for one row, summing the
+// features left to right.
+func (mod *Model) score(m *dataset.Design, row, c int) float64 {
+	score := mod.logPrior[c]
+	for i, f := range mod.Features {
+		score += mod.logLik[i][c*mod.stats.Cards[f]+int(m.Features[f].Data[row])]
+	}
+	return score
+}
+
+// Predict returns argmax_c log P(c) + Σ_f log P(x_f | c); the first class
+// wins ties.
 func (mod *Model) Predict(m *dataset.Design, row int) int32 {
-	s := mod.stats
 	best := int32(0)
 	bestScore := math.Inf(-1)
-	for c := 0; c < s.NumClasses; c++ {
-		score := mod.logPrior[c]
-		denom := float64(s.ClassCounts[c])
-		for _, f := range mod.Features {
-			card := s.Cards[f]
-			v := int(m.Features[f].Data[row])
-			count := float64(s.Counts[f][c*card+v])
-			score += math.Log((count + mod.Alpha) / (denom + mod.Alpha*float64(card)))
-		}
-		if score > bestScore {
+	for c := 0; c < mod.stats.NumClasses; c++ {
+		if score := mod.score(m, row, c); score > bestScore {
 			bestScore = score
 			best = int32(c)
 		}
@@ -113,21 +124,12 @@ func (mod *Model) Predict(m *dataset.Design, row int) int32 {
 // Posterior returns the normalized class posterior for the given row;
 // useful for tests and calibration studies.
 func (mod *Model) Posterior(m *dataset.Design, row int) []float64 {
-	s := mod.stats
-	logs := make([]float64, s.NumClasses)
+	logs := make([]float64, mod.stats.NumClasses)
 	maxLog := math.Inf(-1)
-	for c := 0; c < s.NumClasses; c++ {
-		score := mod.logPrior[c]
-		denom := float64(s.ClassCounts[c])
-		for _, f := range mod.Features {
-			card := s.Cards[f]
-			v := int(m.Features[f].Data[row])
-			count := float64(s.Counts[f][c*card+v])
-			score += math.Log((count + mod.Alpha) / (denom + mod.Alpha*float64(card)))
-		}
-		logs[c] = score
-		if score > maxLog {
-			maxLog = score
+	for c := range logs {
+		logs[c] = mod.score(m, row, c)
+		if logs[c] > maxLog {
+			maxLog = logs[c]
 		}
 	}
 	total := 0.0
@@ -141,22 +143,54 @@ func (mod *Model) Posterior(m *dataset.Design, row int) []float64 {
 	return logs
 }
 
-// ModelFromStats assembles a model over the given feature subset without
-// re-counting; this is the O(1) assembly that wrapper search relies on.
-func ModelFromStats(s *Stats, features []int, alpha float64) (*Model, error) {
+// checkSubset validates a feature subset and smoothing pseudo-count against
+// the statistics: indices first, then alpha.
+func checkSubset(s *Stats, features []int, alpha float64) error {
 	for _, f := range features {
 		if f < 0 || f >= len(s.Counts) {
-			return nil, fmt.Errorf("nb: feature index %d out of range [0,%d)", f, len(s.Counts))
+			return fmt.Errorf("nb: feature index %d out of range [0,%d)", f, len(s.Counts))
 		}
 	}
 	if alpha <= 0 {
-		return nil, fmt.Errorf("nb: smoothing alpha must be positive, got %v", alpha)
+		return fmt.Errorf("nb: smoothing alpha must be positive, got %v", alpha)
+	}
+	return nil
+}
+
+// logPriors returns the smoothed class log-priors log P(Y=c).
+func logPriors(s *Stats, alpha float64) []float64 {
+	out := make([]float64, s.NumClasses)
+	for c := range out {
+		out[c] = math.Log((float64(s.ClassCounts[c]) + alpha) / (float64(s.N) + alpha*float64(s.NumClasses)))
+	}
+	return out
+}
+
+// logLikTable returns feature f's smoothed log-likelihood table, laid out
+// like Stats.Counts: tab[c*card_f+v] = log P(x_f = v | Y = c) under
+// add-alpha smoothing. It is the only place the per-value logarithms are
+// taken; prediction is lookups and additions.
+func logLikTable(s *Stats, f int, alpha float64) []float64 {
+	card := s.Cards[f]
+	tab := make([]float64, len(s.Counts[f]))
+	for i, n := range s.Counts[f] {
+		denom := float64(s.ClassCounts[i/card])
+		tab[i] = math.Log((float64(n) + alpha) / (denom + alpha*float64(card)))
+	}
+	return tab
+}
+
+// ModelFromStats builds a model over the given feature subset without
+// re-counting: one log-likelihood table per feature, O(Σ card_f × classes).
+func ModelFromStats(s *Stats, features []int, alpha float64) (*Model, error) {
+	if err := checkSubset(s, features, alpha); err != nil {
+		return nil, err
 	}
 	modelAssemblies.Inc()
-	mod := &Model{stats: s, Features: features, Alpha: alpha}
-	mod.logPrior = make([]float64, s.NumClasses)
-	for c := range mod.logPrior {
-		mod.logPrior[c] = math.Log((float64(s.ClassCounts[c]) + alpha) / (float64(s.N) + alpha*float64(s.NumClasses)))
+	mod := &Model{stats: s, Features: features, Alpha: alpha, logPrior: logPriors(s, alpha)}
+	mod.logLik = make([][]float64, len(features))
+	for i, f := range features {
+		mod.logLik[i] = logLikTable(s, f, alpha)
 	}
 	return mod, nil
 }

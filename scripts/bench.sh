@@ -12,7 +12,8 @@
 #                                        # overwrite the committed baseline)
 #
 # The JSON is {"meta": {...}, "benchmarks": [...]}: meta pins the commit,
-# date, Go version, benchtime, pattern, and sample count; benchmarks is one
+# date, Go version, benchtime, pattern, sample count and the hardware (CPU
+# count, GOMAXPROCS, the CPU model `go test` reports); benchmarks is one
 # {name, iterations, ns_per_op, bytes_per_op, allocs_per_op} object per
 # benchmark line (repeated names = repeated -count samples). Compare two
 # snapshots with `go run ./cmd/benchdiff old.json new.json` — it also still
@@ -32,6 +33,8 @@ benchtime="${BENCHTIME:-1s}"
 commit="$(git rev-parse HEAD 2>/dev/null || echo "")"
 goversion="$(go env GOVERSION)"
 today="$(date +%F)"
+numcpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
+gomaxprocs="${GOMAXPROCS:-$numcpu}"
 out="${BENCH_OUT:-BENCH_${today}.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
@@ -39,11 +42,14 @@ trap 'rm -f "$raw"' EXIT
 echo "bench.sh: go test -run ^\$ -bench $pattern -benchtime $benchtime -count $count -benchmem ./..." >&2
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem ./... | tee "$raw" >&2
 
+cpu="$(sed -n 's/^cpu: //p' "$raw" | head -n 1 | sed 's/[\\"]//g')"
+
 awk -v commit="$commit" -v today="$today" -v goversion="$goversion" \
-    -v benchtime="$benchtime" -v pattern="$pattern" -v count="$count" '
+    -v benchtime="$benchtime" -v pattern="$pattern" -v count="$count" \
+    -v numcpu="$numcpu" -v gomaxprocs="$gomaxprocs" -v cpu="$cpu" '
 BEGIN {
-    printf "{\n  \"meta\": {\"commit\": \"%s\", \"date\": \"%s\", \"go_version\": \"%s\", \"benchtime\": \"%s\", \"pattern\": \"%s\", \"count\": %d},\n", \
-        commit, today, goversion, benchtime, pattern, count
+    printf "{\n  \"meta\": {\"commit\": \"%s\", \"date\": \"%s\", \"go_version\": \"%s\", \"benchtime\": \"%s\", \"pattern\": \"%s\", \"count\": %d, \"num_cpu\": %d, \"gomaxprocs\": %d, \"cpu\": \"%s\"},\n", \
+        commit, today, goversion, benchtime, pattern, count, numcpu, gomaxprocs, cpu
     print "  \"benchmarks\": ["
 }
 $1 ~ /^Benchmark/ && NF >= 3 {

@@ -16,7 +16,8 @@
 #      clean comparison must exit 0, the injected >10% time regression must
 #      exit 1, and the injected memory-only regression (B/op + allocs/op
 #      moved, ns/op flat) must also exit 1, so both halves of the perf gate
-#      are themselves gated.
+#      are themselves gated; a single-sample baseline must exit 3
+#      (vacuous), since no delta against it can be t-tested.
 #   7. report smoke test against the committed run-dir fixtures: tables
 #      must render, the identical-run diff must exit 0, and the
 #      seeded-drift fixture must exit 1, so the accuracy gate itself is
@@ -73,6 +74,8 @@ else
 fi
 
 echo "verify: benchdiff smoke" >&2
+loadgen_dir="$(mktemp -d)"
+trap 'rm -rf "$loadgen_dir"' EXIT
 go run ./cmd/benchdiff -q cmd/benchdiff/testdata/old.json cmd/benchdiff/testdata/new_ok.json >/dev/null
 if go run ./cmd/benchdiff -q cmd/benchdiff/testdata/old.json cmd/benchdiff/testdata/new_regressed.json >/dev/null 2>&1; then
     echo "verify: benchdiff failed to flag the fixture regression" >&2
@@ -80,6 +83,16 @@ if go run ./cmd/benchdiff -q cmd/benchdiff/testdata/old.json cmd/benchdiff/testd
 fi
 if go run ./cmd/benchdiff -q cmd/benchdiff/testdata/old.json cmd/benchdiff/testdata/new_memregressed.json >/dev/null 2>&1; then
     echo "verify: benchdiff failed to flag the fixture memory regression" >&2
+    exit 1
+fi
+# go run reports any nonzero exit as 1, so check the built binary's code.
+go build -o "$loadgen_dir/benchdiff" ./cmd/benchdiff
+set +e
+"$loadgen_dir/benchdiff" -q cmd/benchdiff/testdata/old_count1.json cmd/benchdiff/testdata/new_ok.json >/dev/null 2>&1
+code=$?
+set -e
+if [ "$code" != 3 ]; then
+    echo "verify: benchdiff exited $code on the single-sample baseline fixture, want 3 (vacuous)" >&2
     exit 1
 fi
 
@@ -92,8 +105,6 @@ if go run ./cmd/report diff -q internal/report/testdata/base internal/report/tes
 fi
 
 echo "verify: loadgen smoke" >&2
-loadgen_dir="$(mktemp -d)"
-trap 'rm -rf "$loadgen_dir"' EXIT
 go run ./cmd/loadgen -duration 200ms -scale 0.02 -out "$loadgen_dir/run" >/dev/null
 go run ./cmd/report latency "$loadgen_dir/run" >/dev/null
 go run ./cmd/report latency internal/report/testdata/latency_base internal/report/testdata/latency_base >/dev/null
