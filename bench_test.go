@@ -127,91 +127,6 @@ func BenchmarkKFKJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkKFKJoinStreamed drains the same join through the streaming
-// operator instead of materializing it: identical cells flow past a running
-// sink, but residency is one chunk (O(chunk·width)), not the 3.2 MB
-// denormalized table. The B/op column against BenchmarkKFKJoin is the
-// memory-ceiling claim the CI benchdiff mem gate pins (≤5% of materialized).
-func BenchmarkKFKJoinStreamed(b *testing.B) {
-	rng := stats.NewRNG(3)
-	const nR, nS, dR = 1000, 100000, 8
-	r := relational.NewTable("R")
-	for j := 0; j < dR; j++ {
-		data := make([]int32, nR)
-		for i := range data {
-			data[i] = int32(rng.IntN(10))
-		}
-		r.MustAddColumn(&relational.Column{Name: "F" + string(rune('a'+j)), Card: 10, Data: data})
-	}
-	s := relational.NewTable("S")
-	fk := make([]int32, nS)
-	for i := range fk {
-		fk[i] = int32(rng.IntN(nR))
-	}
-	s.MustAddColumn(&relational.Column{Name: "FK", Card: nR, Data: fk})
-	src, err := relational.StreamJoin(relational.NewTableSource(s, relational.DefaultChunkSize), "FK", r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		src.Reset()
-		for {
-			ch, err := src.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ch == nil {
-				break
-			}
-			for _, col := range ch.Cols {
-				sink += col[ch.Rows-1]
-			}
-		}
-	}
-	_ = sink
-}
-
-// BenchmarkKFKJoinStreamedStats pushes Naive Bayes sufficient statistics
-// through the same streamed join (entity gains a binary target): the full
-// join-then-count workload without ever holding the denormalized design.
-// Compare BenchmarkKFKJoin + BenchmarkNBFit run back to back.
-func BenchmarkKFKJoinStreamedStats(b *testing.B) {
-	rng := stats.NewRNG(3)
-	const nR, nS, dR = 1000, 100000, 8
-	r := relational.NewTable("R")
-	for j := 0; j < dR; j++ {
-		data := make([]int32, nR)
-		for i := range data {
-			data[i] = int32(rng.IntN(10))
-		}
-		r.MustAddColumn(&relational.Column{Name: "F" + string(rune('a'+j)), Card: 10, Data: data})
-	}
-	s := relational.NewTable("S")
-	y := make([]int32, nS)
-	fk := make([]int32, nS)
-	for i := range fk {
-		y[i] = int32(rng.IntN(2))
-		fk[i] = int32(rng.IntN(nR))
-	}
-	s.MustAddColumn(&relational.Column{Name: "Y", Card: 2, Data: y})
-	s.MustAddColumn(&relational.Column{Name: "FK", Card: nR, Data: fk})
-	ds := &dataset.Dataset{
-		Name: "Bench", Entity: s, Target: "Y",
-		Attrs: []dataset.AttributeTable{{Table: r, FK: "FK", ClosedDomain: true}},
-	}
-	p := ds.JoinAllPlan()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nb.StatsFromPlan(ds, p, relational.DefaultChunkSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNBFit measures tabulating Naive Bayes sufficient statistics over
 // a 50k-row, 9-feature design.
 func BenchmarkNBFit(b *testing.B) {

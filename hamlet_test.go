@@ -1,6 +1,7 @@
 package hamlet
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -108,6 +109,29 @@ func TestEvaluatePlanPublic(t *testing.T) {
 	}
 	if out.TestError <= 0 {
 		t.Fatalf("test error = %v", out.TestError)
+	}
+}
+
+// TestEvaluatePlanRejectsDanglingFK: a corrupt joined FK must surface as an
+// error from the public pipeline, not as an index panic in the gather.
+func TestEvaluatePlanRejectsDanglingFK(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(fk *Column, nR int)
+		want   string
+	}{
+		{"RID >= n_R", func(fk *Column, nR int) { fk.Data[3] = int32(nR) }, "dangles"},
+		{"negative RID", func(fk *Column, nR int) { fk.Data[0] = -1 }, "dangles"},
+		{"cardinality != n_R", func(fk *Column, nR int) { fk.Card = nR + 1 }, "cardinality"},
+	}
+	for _, tc := range cases {
+		d := exampleDataset(t)
+		at := d.Attrs[0]
+		tc.mutate(d.Entity.Column(at.FK), at.Table.NumRows())
+		_, err := EvaluatePlan(d, d.JoinAllPlan(), MIFilter(), 7)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: EvaluatePlan error = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

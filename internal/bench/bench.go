@@ -167,9 +167,9 @@ func parseBenchText(data []byte) ([]Sample, error) {
 // means (NaN when either side has fewer than two samples — the caller then
 // gates on the threshold alone). The memory metrics (B/op, allocs/op) carry
 // their own deltas and p-values so callers can gate on peak-allocation
-// regressions independently of time: a streaming operator that silently
-// re-materializes shows up in B/op long before ns/op moves. Memory fields
-// are NaN when either snapshot lacks -benchmem data.
+// regressions independently of time: an extra copy of a large table shows
+// up in B/op long before ns/op moves. Memory fields are NaN when either
+// snapshot lacks -benchmem data.
 type Delta struct {
 	Name      string
 	OldNs     float64 // mean ns/op, old

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"hamlet/internal/dataset"
-	"hamlet/internal/relational"
 	"hamlet/internal/stats"
 )
 
@@ -51,50 +50,16 @@ type DatasetStats struct {
 
 // CollectStats scans the dataset once and returns its sufficient
 // statistics. This is the only advisor step that touches data values (the
-// target column, for H(Y)) or column metadata. It is CollectStatsChunked at
-// the default chunk size; the result is identical at any size.
+// target column, for H(Y)) or column metadata.
 func CollectStats(d *dataset.Dataset) (*DatasetStats, error) {
-	return CollectStatsChunked(d, 0)
-}
-
-// CollectStatsChunked is CollectStats with the target scan executed through
-// the streaming operator layer: the entropy counts accumulate over
-// chunkSize-row chunks (relational.DefaultChunkSize when <= 0) via a
-// relational.RowSource instead of one whole-column pass, so the advisor-side
-// scan composes with out-of-core entity sources the same way the streamed
-// sufficient-statistics paths do. Because Shannon entropy is a function of
-// the class counts alone, the result is bit-identical to the unchunked scan
-// at every chunk size (pinned by tests).
-func CollectStatsChunked(d *dataset.Dataset, chunkSize int) (*DatasetStats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	y := d.Entity.Column(d.Target)
-	counts := make([]int, y.Card)
-	src := relational.NewTableSource(d.Entity, chunkSize)
-	yIdx := -1
-	for i, ci := range src.Schema() {
-		if ci.Name == d.Target {
-			yIdx = i
-			break
-		}
-	}
-	for {
-		ch, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			break
-		}
-		for _, v := range ch.Cols[yIdx] {
-			counts[v]++
-		}
-	}
 	s := &DatasetStats{
 		Name:          d.Name,
 		NumRows:       d.NumRows(),
-		TargetEntropy: stats.EntropyCounts(counts),
+		TargetEntropy: stats.Entropy(y.Data, y.Card),
 		Attrs:         make([]AttrStats, 0, len(d.Attrs)),
 	}
 	for _, at := range d.Attrs {
@@ -116,6 +81,14 @@ func CollectStatsChunked(d *dataset.Dataset, chunkSize int) (*DatasetStats, erro
 		})
 	}
 	return s, nil
+}
+
+// CollectStatsChunked is CollectStats. chunkSize is ignored: the target
+// scan is one pass over the in-memory column.
+//
+// Deprecated: use CollectStats.
+func CollectStatsChunked(d *dataset.Dataset, chunkSize int) (*DatasetStats, error) {
+	return CollectStats(d)
 }
 
 // DecideFromStats evaluates the advisor's rules over pre-collected

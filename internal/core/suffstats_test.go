@@ -72,10 +72,9 @@ func TestDecideFromStatsValidates(t *testing.T) {
 	}
 }
 
-// TestCollectStatsChunkedBitIdentical pins the chunked-scan refactor:
-// because H(Y) is a function of the class counts alone, CollectStatsChunked
-// must return a bit-identical DatasetStats (entropy float included) at every
-// chunk size, including sizes larger than the table and the default.
+// TestCollectStatsChunkedBitIdentical pins the deprecated alias to
+// CollectStats: whatever chunkSize a caller passes, it must return a
+// bit-identical DatasetStats (entropy float included).
 func TestCollectStatsChunkedBitIdentical(t *testing.T) {
 	for _, skewY := range []bool{false, true} {
 		d := fixture(2000, 40, 400, skewY)
@@ -89,7 +88,7 @@ func TestCollectStatsChunkedBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("chunk %d (skewY=%v): chunked stats diverge:\n%+v\n%+v", cs, skewY, want, got)
+				t.Fatalf("chunkSize %d (skewY=%v): alias diverges from CollectStats:\n%+v\n%+v", cs, skewY, want, got)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"hamlet/internal/relational"
@@ -159,30 +162,214 @@ func TestMaterializeUnknownFKs(t *testing.T) {
 	}
 }
 
+// materializeViaJoin is the test oracle for Materialize: it builds the same
+// design matrix through the generic relational.JoinAll operator instead of
+// the fused gather. Feature order matches Materialize.
+func materializeViaJoin(d *Dataset, p Plan) (*Design, error) {
+	var fks []relational.ForeignKey
+	attrs := make(map[string]*relational.Table)
+	for _, at := range d.Attrs {
+		if contains(p.JoinFKs, at.FK) {
+			fks = append(fks, relational.ForeignKey{Column: at.FK, Refs: at.Table.Name, ClosedDomain: at.ClosedDomain})
+			attrs[at.Table.Name] = at.Table
+		}
+	}
+	joined, err := relational.JoinAll(d.Entity, fks, attrs)
+	if err != nil {
+		return nil, err
+	}
+	y := joined.Column(d.Target)
+	out := &Design{NumClasses: y.Card, Y: y.Data}
+	appendCol := func(name, source string, isFK bool) error {
+		c := joined.Column(name)
+		if c == nil {
+			return fmt.Errorf("dataset %q: column %q missing after join", d.Name, name)
+		}
+		out.Features = append(out.Features, Feature{Name: c.Name, Card: c.Card, Data: c.Data, Source: source, IsFK: isFK})
+		return nil
+	}
+	for _, name := range d.HomeFeatures {
+		if err := appendCol(name, "S", false); err != nil {
+			return nil, err
+		}
+	}
+	for _, at := range d.Attrs {
+		if at.ClosedDomain && !contains(p.DropFKs, at.FK) {
+			if err := appendCol(at.FK, "S", true); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, at := range d.Attrs {
+		if !contains(p.JoinFKs, at.FK) {
+			continue
+		}
+		for _, rc := range at.Table.Columns() {
+			if err := appendCol(rc.Name, at.Table.Name, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// randDataset builds a random normalized dataset: an entity table (possibly
+// empty) with a target, a few home features, and 0–2 attribute tables
+// behind FKs with random closed/open domains.
+func randDataset(rng *rand.Rand) *Dataset {
+	nS := rng.Intn(120)
+	entity := relational.NewTable("S")
+	yCard := 2 + rng.Intn(3)
+	yData := make([]int32, nS)
+	for i := range yData {
+		yData[i] = int32(rng.Intn(yCard))
+	}
+	entity.MustAddColumn(&relational.Column{Name: "Y", Card: yCard, Data: yData})
+	var home []string
+	for h := 0; h < 1+rng.Intn(3); h++ {
+		card := 1 + rng.Intn(6)
+		data := make([]int32, nS)
+		for i := range data {
+			data[i] = int32(rng.Intn(card))
+		}
+		name := "H" + string(rune('a'+h))
+		entity.MustAddColumn(&relational.Column{Name: name, Card: card, Data: data})
+		home = append(home, name)
+	}
+	d := &Dataset{Name: "Rand", Entity: entity, Target: "Y", HomeFeatures: home}
+	for a := 0; a < rng.Intn(3); a++ {
+		nR := 1 + rng.Intn(25)
+		attr := relational.NewTable("R" + string(rune('0'+a)))
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			card := 1 + rng.Intn(8)
+			data := make([]int32, nR)
+			for i := range data {
+				data[i] = int32(rng.Intn(card))
+			}
+			attr.MustAddColumn(&relational.Column{Name: "F" + string(rune('0'+a)) + string(rune('a'+j)), Card: card, Data: data})
+		}
+		fk := make([]int32, nS)
+		for i := range fk {
+			fk[i] = int32(rng.Intn(nR))
+		}
+		fkName := "FK" + string(rune('0'+a))
+		entity.MustAddColumn(&relational.Column{Name: fkName, Card: nR, Data: fk})
+		d.Attrs = append(d.Attrs, AttributeTable{Table: attr, FK: fkName, ClosedDomain: rng.Intn(3) > 0})
+	}
+	return d
+}
+
+// randPlan picks a random valid plan over d's FKs.
+func randPlan(rng *rand.Rand, d *Dataset) Plan {
+	var p Plan
+	for _, at := range d.Attrs {
+		if !at.ClosedDomain || rng.Intn(2) == 0 {
+			p.JoinFKs = append(p.JoinFKs, at.FK)
+		}
+		if at.ClosedDomain && rng.Intn(3) == 0 {
+			p.DropFKs = append(p.DropFKs, at.FK)
+		}
+	}
+	return p
+}
+
+// designsEqual compares metadata and every cell of two designs.
+func designsEqual(t *testing.T, want, got *Design) {
+	t.Helper()
+	if got.NumClasses != want.NumClasses || got.NumFeatures() != want.NumFeatures() || got.NumRows() != want.NumRows() {
+		t.Fatalf("shape: got (%d classes, %d feats, %d rows), want (%d, %d, %d)",
+			got.NumClasses, got.NumFeatures(), got.NumRows(), want.NumClasses, want.NumFeatures(), want.NumRows())
+	}
+	for i := range want.Y {
+		if got.Y[i] != want.Y[i] {
+			t.Fatalf("Y[%d]: got %d, want %d", i, got.Y[i], want.Y[i])
+		}
+	}
+	for f := range want.Features {
+		wf, gf := &want.Features[f], &got.Features[f]
+		if gf.Name != wf.Name || gf.Card != wf.Card || gf.Source != wf.Source || gf.IsFK != wf.IsFK {
+			t.Fatalf("feature %d metadata: got %+v, want %+v", f,
+				Feature{Name: gf.Name, Card: gf.Card, Source: gf.Source, IsFK: gf.IsFK},
+				Feature{Name: wf.Name, Card: wf.Card, Source: wf.Source, IsFK: wf.IsFK})
+		}
+		for i := range wf.Data {
+			if gf.Data[i] != wf.Data[i] {
+				t.Fatalf("feature %q row %d: got %d, want %d", wf.Name, i, gf.Data[i], wf.Data[i])
+			}
+		}
+	}
+}
+
+// TestMaterializeMatchesMaterializeVia is the design-level equivalence
+// property: the fused gather in Materialize reproduces the generic join
+// oracle bit for bit (feature order, metadata, labels and cells) on the
+// named plans of the running example and on random datasets and plans.
 func TestMaterializeMatchesMaterializeVia(t *testing.T) {
+	check := func(d *Dataset, p Plan) {
+		t.Helper()
+		want, err := materializeViaJoin(d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Materialize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designsEqual(t, want, got)
+	}
 	d := churn()
 	for _, p := range []Plan{d.JoinAllPlan(), d.NoJoinsPlan(), d.JoinAllNoFKPlan()} {
-		a, err := d.Materialize(p)
-		if err != nil {
-			t.Fatal(err)
+		check(d, p)
+	}
+
+	// The generator must keep reaching the edge cases this property is
+	// meant to cover; a generator edit that loses one fails here.
+	var noAttrs, twoAttrs, openDomain, dropped, emptyEntity bool
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		d := randDataset(rng)
+		p := randPlan(rng, d)
+		noAttrs = noAttrs || len(d.Attrs) == 0
+		twoAttrs = twoAttrs || len(d.Attrs) == 2
+		emptyEntity = emptyEntity || d.NumRows() == 0
+		dropped = dropped || len(p.DropFKs) > 0
+		for _, at := range d.Attrs {
+			openDomain = openDomain || !at.ClosedDomain
 		}
-		b, err := d.MaterializeVia(p)
-		if err != nil {
-			t.Fatal(err)
+		check(d, p)
+	}
+	if !noAttrs || !twoAttrs || !openDomain || !dropped || !emptyEntity {
+		t.Fatalf("generator missed an edge case: noAttrs=%v twoAttrs=%v openDomain=%v dropFKs=%v emptyEntity=%v",
+			noAttrs, twoAttrs, openDomain, dropped, emptyEntity)
+	}
+}
+
+// TestMaterializeRejectsDanglingFK pins referential integrity on the gather
+// path: a joined FK whose RID falls outside [0, n_R), or whose declared
+// cardinality is not n_R, is an error naming the dataset (as it is for the
+// join oracle), never an index panic.
+func TestMaterializeRejectsDanglingFK(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(fk *relational.Column)
+		want   string
+	}{
+		{"RID >= n_R", func(fk *relational.Column) { fk.Data[5] = 4 }, "dangles"},
+		{"negative RID", func(fk *relational.Column) { fk.Data[0] = -1 }, "dangles"},
+		{"cardinality != n_R", func(fk *relational.Column) { fk.Card = 5 }, "cardinality"},
+	}
+	for _, tc := range cases {
+		d := churn()
+		tc.mutate(d.Entity.Column("EmployerID"))
+		_, err := d.Materialize(d.JoinAllPlan())
+		if err == nil {
+			t.Fatalf("%s: Materialize accepted a dangling FK", tc.name)
 		}
-		if len(a.Features) != len(b.Features) {
-			t.Fatalf("feature counts differ: %v vs %v", a.FeatureNames(), b.FeatureNames())
+		if !strings.Contains(err.Error(), `dataset "Churn"`) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the dataset and %q", tc.name, err, tc.want)
 		}
-		for i := range a.Features {
-			fa, fb := a.Features[i], b.Features[i]
-			if fa.Name != fb.Name || fa.Card != fb.Card {
-				t.Fatalf("feature %d schema differs: %+v vs %+v", i, fa, fb)
-			}
-			for r := range fa.Data {
-				if fa.Data[r] != fb.Data[r] {
-					t.Fatalf("feature %q row %d differs", fa.Name, r)
-				}
-			}
+		if _, err := materializeViaJoin(d, d.JoinAllPlan()); err == nil {
+			t.Errorf("%s: the join oracle accepted the same input", tc.name)
 		}
 	}
 }

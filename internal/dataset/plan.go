@@ -80,15 +80,22 @@ func (d *Dataset) JoinAllNoFKPlan() Plan {
 
 // Materialize builds the design matrix for the given plan: home features
 // first, then (usable) FK features, then foreign features of each joined
-// attribute table, in declaration order. It validates the plan's FKs.
+// attribute table, in declaration order. It validates the plan's FKs and the
+// referential integrity of every joined FK.
 func (d *Dataset) Materialize(p Plan) (*Design, error) {
 	y := d.Entity.Column(d.Target)
 	if y == nil {
 		return nil, fmt.Errorf("dataset %q: target %q missing", d.Name, d.Target)
 	}
 	for _, fk := range p.JoinFKs {
-		if d.AttrByFK(fk) == nil {
+		at := d.AttrByFK(fk)
+		if at == nil {
 			return nil, fmt.Errorf("dataset %q: plan joins unknown FK %q", d.Name, fk)
+		}
+		// The gather indexes the attribute table by RID, so a dangling FK
+		// must be an error here rather than an index panic below.
+		if err := relational.CheckRef(d.Entity.Column(fk), at.Table); err != nil {
+			return nil, fmt.Errorf("dataset %q: %w", d.Name, err)
 		}
 	}
 	for _, fk := range p.DropFKs {
@@ -124,57 +131,5 @@ func (d *Dataset) Materialize(p Plan) (*Design, error) {
 	materializeRows.Add(int64(out.NumRows()))
 	materializeCells.Add(int64(out.NumRows()) * int64(out.NumFeatures()))
 	materializeHist.Observe(int64(out.NumRows()))
-	return out, nil
-}
-
-// MaterializeVia builds the same design matrix as Materialize but goes
-// through the generic relational.JoinAll operator instead of the fused
-// gather; it exists so tests can cross-check the two paths. Feature order
-// matches Materialize.
-func (d *Dataset) MaterializeVia(p Plan) (*Design, error) {
-	var fks []relational.ForeignKey
-	attrs := make(map[string]*relational.Table)
-	for _, at := range d.Attrs {
-		if contains(p.JoinFKs, at.FK) {
-			fks = append(fks, relational.ForeignKey{Column: at.FK, Refs: at.Table.Name, ClosedDomain: at.ClosedDomain})
-			attrs[at.Table.Name] = at.Table
-		}
-	}
-	joined, err := relational.JoinAll(d.Entity, fks, attrs)
-	if err != nil {
-		return nil, err
-	}
-	y := joined.Column(d.Target)
-	out := &Design{NumClasses: y.Card, Y: y.Data}
-	appendCol := func(name, source string, isFK bool) error {
-		c := joined.Column(name)
-		if c == nil {
-			return fmt.Errorf("dataset %q: column %q missing after join", d.Name, name)
-		}
-		out.Features = append(out.Features, Feature{Name: c.Name, Card: c.Card, Data: c.Data, Source: source, IsFK: isFK})
-		return nil
-	}
-	for _, name := range d.HomeFeatures {
-		if err := appendCol(name, "S", false); err != nil {
-			return nil, err
-		}
-	}
-	for _, at := range d.Attrs {
-		if at.ClosedDomain && !contains(p.DropFKs, at.FK) {
-			if err := appendCol(at.FK, "S", true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, at := range d.Attrs {
-		if !contains(p.JoinFKs, at.FK) {
-			continue
-		}
-		for _, rc := range at.Table.Columns() {
-			if err := appendCol(rc.Name, at.Table.Name, false); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return out, nil
 }

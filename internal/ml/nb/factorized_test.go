@@ -1,6 +1,7 @@
 package nb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -58,12 +59,42 @@ func randomDataset(seed uint64) *dataset.Dataset {
 	}
 }
 
+// edgeDataset builds a dataset at the corners randomDataset never reaches:
+// nS entity rows, nAttrs attribute tables of card rows each (so the FKs
+// have cardinality card too), and home and foreign features of cardinality
+// card. The second attribute table, if any, is open-domain.
+func edgeDataset(seed uint64, nS, nAttrs, card int) *dataset.Dataset {
+	r := stats.NewRNG(seed)
+	col := func(name string, card, rows int) *relational.Column {
+		data := make([]int32, rows)
+		for i := range data {
+			data[i] = int32(r.IntN(card))
+		}
+		return &relational.Column{Name: name, Card: card, Data: data}
+	}
+	s := relational.NewTable("S")
+	s.MustAddColumn(col("Y", 2, nS))
+	s.MustAddColumn(col("XS", card, nS))
+	d := &dataset.Dataset{Name: "Edge", Entity: s, Target: "Y", HomeFeatures: []string{"XS"}}
+	for a := 0; a < nAttrs; a++ {
+		name := "R" + string(rune('1'+a))
+		rt := relational.NewTable(name)
+		rt.MustAddColumn(col(name+"a", card, card))
+		rt.MustAddColumn(col(name+"b", card, card))
+		fk := "FK" + string(rune('1'+a))
+		s.MustAddColumn(col(fk, card, nS))
+		d.Attrs = append(d.Attrs, dataset.AttributeTable{Table: rt, FK: fk, ClosedDomain: a == 0})
+	}
+	return d
+}
+
 // TestFactorizedStatsMatchMaterialized is the core correctness property:
 // statistics computed without the join must be bit-identical to statistics
-// tabulated over the materialized JoinAll design.
+// tabulated over the materialized JoinAll design, on random datasets and on
+// the edge cases: no attribute tables, a 1-row entity, cardinality-1
+// columns.
 func TestFactorizedStatsMatchMaterialized(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		d := randomDataset(seed)
+	matches := func(d *dataset.Dataset) bool {
 		factorized, err := StatsFromDataset(d)
 		if err != nil {
 			return false
@@ -72,31 +103,26 @@ func TestFactorizedStatsMatchMaterialized(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		materialized := NewStats(design)
-		if factorized.N != materialized.N || factorized.NumClasses != materialized.NumClasses {
-			return false
-		}
-		if len(factorized.Counts) != len(materialized.Counts) {
-			return false
-		}
-		for c := range factorized.ClassCounts {
-			if factorized.ClassCounts[c] != materialized.ClassCounts[c] {
-				return false
-			}
-		}
-		for f := range factorized.Counts {
-			if factorized.Cards[f] != materialized.Cards[f] {
-				return false
-			}
-			for k := range factorized.Counts[f] {
-				if factorized.Counts[f][k] != materialized.Counts[f][k] {
-					return false
-				}
-			}
-		}
-		return true
+		return reflect.DeepEqual(factorized, NewStats(design))
+	}
+	if err := quick.Check(func(seed uint64) bool {
+		return matches(randomDataset(seed))
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatalf("factorized statistics diverge from materialized: %v", err)
+	}
+	edges := []struct {
+		name             string
+		nS, nAttrs, card int
+	}{
+		{"no attribute tables", 30, 0, 3},
+		{"1-row entity", 1, 2, 3},
+		{"cardinality-1 columns", 30, 2, 1},
+		{"1-row entity, no attribute tables, cardinality 1", 1, 0, 1},
+	}
+	for i, e := range edges {
+		if !matches(edgeDataset(uint64(i), e.nS, e.nAttrs, e.card)) {
+			t.Errorf("%s: factorized statistics diverge from materialized", e.name)
+		}
 	}
 }
 

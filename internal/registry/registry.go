@@ -4,8 +4,7 @@
 // row counts and domain minima — see core.DatasetStats). Generation and the
 // statistics scan happen once per (name, scale, seed); after that a decision
 // request is pure arithmetic over the cached statistics and never rescans
-// data. cmd/loadgen drives this hot path today; the planned cmd/advisord will
-// serve it over HTTP.
+// data. cmd/advisord serves this hot path over HTTP and cmd/loadgen drives it.
 package registry
 
 import (
@@ -16,7 +15,6 @@ import (
 
 	"hamlet/internal/core"
 	"hamlet/internal/dataset"
-	"hamlet/internal/relational"
 	"hamlet/internal/synth"
 )
 
@@ -144,7 +142,7 @@ func (r *Registry) Keys() []Key {
 // under its own name, collecting its statistics. Scale and seed are recorded
 // as zero. Replaces any previous entry with the same name.
 func (r *Registry) Add(d *dataset.Dataset) (*Entry, error) {
-	stats, err := core.CollectStatsChunked(d, relational.DefaultChunkSize)
+	stats, err := core.CollectStats(d)
 	if err != nil {
 		return nil, fmt.Errorf("registry: collect stats for %q: %w", d.Name, err)
 	}
@@ -168,11 +166,7 @@ func build(name string, scale float64, seed uint64) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: generate %s: %w", name, err)
 	}
-	// The statistics scan goes through the chunked streaming path so the
-	// registry's one-time cost per dataset stays O(chunk) resident beyond
-	// the base tables themselves — the same ceiling the streamed
-	// sufficient-statistics consumers obey (internal/relational/stream.go).
-	stats, err := core.CollectStatsChunked(d, relational.DefaultChunkSize)
+	stats, err := core.CollectStats(d)
 	if err != nil {
 		return nil, fmt.Errorf("registry: collect stats for %s: %w", name, err)
 	}

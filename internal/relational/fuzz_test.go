@@ -6,91 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzStreamJoin builds an arbitrary (entity, attribute) pair from fuzz
-// bytes and checks the streaming executor's equivalence contract against the
-// materializing reference: StreamJoin drained through MaterializeSource must
-// produce exactly Join's output at every chunk size, and the streaming
-// FD/distinct consumers must agree with their materialized originals. It
-// must never panic. Run `go test -fuzz=FuzzStreamJoin ./internal/relational`
-// to explore beyond the seeds; CI runs a short leg on every push.
-func FuzzStreamJoin(f *testing.F) {
-	f.Add([]byte{0, 1, 2}, []byte{3, 1, 4, 1, 5}, 1)
-	f.Add([]byte{}, []byte{0}, 3)
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, []byte{1, 2}, 1000)
-	f.Add([]byte{255, 0, 127}, []byte{255, 255, 0}, 0)
-	f.Fuzz(func(t *testing.T, fkBytes, rBytes []byte, chunk int) {
-		if len(rBytes) == 0 || len(rBytes) > 1<<10 || len(fkBytes) > 1<<12 {
-			return
-		}
-		nR := len(rBytes)
-		r := NewTable("R")
-		rf := make([]int32, nR)
-		for i, b := range rBytes {
-			rf[i] = int32(b) % 8
-		}
-		r.MustAddColumn(&Column{Name: "rF", Card: 8, Data: rf})
-		s := NewTable("S")
-		home := make([]int32, len(fkBytes))
-		fk := make([]int32, len(fkBytes))
-		for i, b := range fkBytes {
-			home[i] = int32(b) % 4
-			fk[i] = int32(b) % int32(nR)
-		}
-		s.MustAddColumn(&Column{Name: "sH", Card: 4, Data: home})
-		s.MustAddColumn(&Column{Name: "FK", Card: nR, Data: fk})
-
-		want, err := Join(s, "FK", r)
-		if err != nil {
-			t.Fatalf("reference join rejected a valid input: %v", err)
-		}
-		src, err := StreamJoin(NewTableSource(s, chunk%97), "FK", r)
-		if err != nil {
-			t.Fatalf("stream join rejected a valid input: %v", err)
-		}
-		got, err := MaterializeSource(want.Name, src)
-		if err != nil {
-			t.Fatalf("stream drain failed: %v", err)
-		}
-		if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
-			t.Fatalf("shape mismatch: streamed %s, materialized %s", got, want)
-		}
-		for ci, wc := range want.Columns() {
-			gc := got.Columns()[ci]
-			for i := range wc.Data {
-				if gc.Data[i] != wc.Data[i] {
-					t.Fatalf("cell (%d,%q): streamed %d, materialized %d", i, wc.Name, gc.Data[i], wc.Data[i])
-				}
-			}
-		}
-
-		wantFD, err := HoldsFD(want, "FK", "rF")
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Reset()
-		gotFD, err := HoldsFDSource(src, "FK", "rF")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotFD != wantFD {
-			t.Fatalf("FD FK→rF: streamed %v, materialized %v", gotFD, wantFD)
-		}
-
-		wantQ, err := DistinctJointValues(want, "sH", "rF")
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Reset()
-		gotQ, err := DistinctJointValuesSource(src, "sH", "rF")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotQ != wantQ {
-			t.Fatalf("distinct(sH,rF): streamed %d, materialized %d", gotQ, wantQ)
-		}
-	})
-}
-
 // FuzzReadCSV exercises the CSV ingestion path with arbitrary input: it
 // must either fail cleanly or produce a table that validates and
 // round-trips; it must never panic. Run `go test -fuzz=FuzzReadCSV

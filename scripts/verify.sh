@@ -12,27 +12,32 @@
 #   5. go test -race ./...      (skipped in -short mode; CI runs the full
 #      gate on one matrix leg so the race leg stays the long pole while
 #      the other legs finish fast)
-#   6. benchdiff smoke test against the committed fixture snapshots: a
+#   6. benchmark module: `go vet ./...` and `go test ./...` inside
+#      benchmark/, which is its own Go module (replace hamlet => ../), so
+#      the root ./... never compiles it; its tests run the toy workloads
+#      and check testdata/analyze_seed1.golden.json, catching a change to
+#      the library API or outputs that would break the benchmark
+#   7. benchdiff smoke test against the committed fixture snapshots: a
 #      clean comparison must exit 0, the injected >10% time regression must
 #      exit 1, and the injected memory-only regression (B/op + allocs/op
 #      moved, ns/op flat) must also exit 1, so both halves of the perf gate
 #      are themselves gated; a single-sample baseline must exit 3
 #      (vacuous), since no delta against it can be t-tested.
-#   7. report smoke test against the committed run-dir fixtures: tables
+#   8. report smoke test against the committed run-dir fixtures: tables
 #      must render, the identical-run diff must exit 0, and the
 #      seeded-drift fixture must exit 1, so the accuracy gate itself is
 #      gated the same way.
-#   8. loadgen smoke test: a short in-process load run must produce a run
+#   9. loadgen smoke test: a short in-process load run must produce a run
 #      dir whose histograms.json `report latency` renders with exit 0; the
 #      committed seeded-regression fixture must make the latency gate exit
 #      1, and the identical-run latency diff must exit 0.
-#   9. advisord smoke test: the daemon must come up on an ephemeral port
+#  10. advisord smoke test: the daemon must come up on an ephemeral port
 #      (with tracing and SLO flags on), answer a loadgen -url round trip,
 #      serve a /metrics exposition with a nonzero request counter and an
 #      SLO burn gauge that `report watch` parses, drain cleanly on SIGTERM
 #      (exit 0), remove its addrfile, and flush a histograms.json that
 #      `report latency` renders.
-#  10. tracing smoke test: the loadgen -url leg runs with -trace-sample 1,
+#  11. tracing smoke test: the loadgen -url leg runs with -trace-sample 1,
 #      so both sides persist traces.jsonl; a client trace ID must appear in
 #      the server's traces.jsonl, `report trace client server` must render
 #      the merged cross-process tree with the server span nested under the
@@ -72,6 +77,9 @@ else
     echo "verify: go test -race ./..." >&2
     go test -race ./...
 fi
+
+echo "verify: benchmark module (go vet + go test)" >&2
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "verify: benchdiff smoke" >&2
 loadgen_dir="$(mktemp -d)"
