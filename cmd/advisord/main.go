@@ -27,9 +27,9 @@
 //	GET  /healthz       liveness
 //	GET  /readyz        readiness (503 until preload finishes / while draining)
 //	GET  /metrics       Prometheus text exposition: counters, rolling rates,
-//	                    windowed latency quantiles (`report watch` reads this)
+//	                    windowed latency quantiles, latency buckets, and the
+//	                    metrics registry (`report watch` reads this)
 //	GET  /debug/slow    recent slow-request exemplars (requests over -slow)
-//	GET  /debug/vars    live expvar metrics (per-endpoint latency histograms)
 //	GET  /debug/pprof/  runtime profiling
 //
 // Shutdown is graceful: SIGINT/SIGTERM stops the listener, drops readiness,
@@ -249,7 +249,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Traces.Len(), *sample, *traceCap, *slow)
 	}
 	hists := srv.Histograms()
-	if h := hists[server.LatencyHist]; h.Count > 0 {
+	if h := hists[obs.LatencyHist]; h.Count > 0 {
 		fmt.Fprintf(stdout, "latency:  p50 %v  p90 %v  p99 %v  p99.9 %v  (min %v  max %v)\n",
 			time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.90)),
 			time.Duration(h.Quantile(0.99)), time.Duration(h.Quantile(0.999)),
@@ -258,8 +258,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sumAttrs := []slog.Attr{
 		slog.Int64("requests", reqs),
 		slog.Int64("errors", errs),
-		slog.Int64("p50_ns", hists[server.LatencyHist].Quantile(0.50)),
-		slog.Int64("p99_ns", hists[server.LatencyHist].Quantile(0.99)),
+		slog.Int64("p50_ns", hists[obs.LatencyHist].Quantile(0.50)),
+		slog.Int64("p99_ns", hists[obs.LatencyHist].Quantile(0.99)),
 	}
 	if cfg.Sampler != nil {
 		sumAttrs = append(sumAttrs, slog.Int64("traces_kept", cfg.Traces.Len()))

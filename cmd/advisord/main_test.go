@@ -189,11 +189,11 @@ func TestRunServesDrainsAndPersists(t *testing.T) {
 	if art.SchemaVersion != obs.SchemaVersion {
 		t.Errorf("SchemaVersion = %d, want %d", art.SchemaVersion, obs.SchemaVersion)
 	}
-	total, ok := art.Histograms[server.LatencyHist]
+	total, ok := art.Histograms[obs.LatencyHist]
 	if !ok || total.Count < 2 {
 		t.Errorf("run-level histogram = %+v (ok=%v), want count ≥ 2", total, ok)
 	}
-	if h, ok := art.Histograms[server.LatencyHist+".decide"]; !ok || h.Count < 1 {
+	if h, ok := art.Histograms[obs.LatencyHist+".decide"]; !ok || h.Count < 1 {
 		t.Errorf("decide histogram = %+v (ok=%v)", h, ok)
 	}
 	events, err := os.ReadFile(filepath.Join(outDir, obs.EventsFile))

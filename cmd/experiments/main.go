@@ -17,7 +17,7 @@
 //	experiments -id fig3 -quick -progress   # progress/ETA lines on stderr
 //	experiments -id fig7 -trace             # span tree with per-stage timings
 //	experiments -cpuprofile cpu.out -memprofile mem.out
-//	experiments -http :6060                 # live pprof + /debug/vars
+//	experiments -http :6060                 # live pprof + /metrics
 //	experiments -id fig3 -out runs/fig3     # persist run artifacts, including
 //	                                        # per-figure results.jsonl
 package main

@@ -14,7 +14,7 @@
 //	hamlet -schema mydata/spec.json         # run on your own CSVs
 //	hamlet -dataset Walmart -analyze -trace # span tree: join vs select vs train time
 //	hamlet -analyze -cpuprofile cpu.out     # CPU profile of the run
-//	hamlet -analyze -http :6060             # live pprof + /debug/vars
+//	hamlet -analyze -http :6060             # live pprof + /metrics
 //	hamlet -analyze -out runs/walmart       # persist run artifacts (manifest,
 //	                                        # events.jsonl, metrics, trace)
 //

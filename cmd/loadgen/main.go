@@ -55,11 +55,6 @@ import (
 	"hamlet/internal/server"
 )
 
-// Histogram names persisted to histograms.json. The run-level merge is
-// always present; per-dataset entries appear only when the run drove more
-// than one dataset.
-const latencyHist = "request_latency_ns"
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -368,8 +363,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Merge the shards: across workers into per-dataset snapshots, then
-	// across datasets into the run-level histogram.
+	// Merge the shards: across workers into per-dataset snapshots (kept
+	// only when the run drove more than one dataset), then across datasets
+	// into the run-level obs.LatencyHist.
 	var total obs.HistogramSnapshot
 	hists := make(map[string]obs.HistogramSnapshot)
 	for d, n := range names {
@@ -381,7 +377,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if len(names) > 1 {
-			hists[latencyHist+"."+n] = per
+			hists[obs.LatencyHist+"."+n] = per
 		}
 		if err := total.Merge(per); err != nil {
 			fmt.Fprintf(stderr, "loadgen: %v\n", err)
@@ -399,7 +395,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// zero-request run writes a well-formed artifact.
 		total.Precision = shards[0][0].Snapshot().Precision
 	}
-	hists[latencyHist] = total
+	hists[obs.LatencyHist] = total
 	drive.Add("requests", total.Count)
 
 	rps := float64(total.Count) / elapsed.Seconds()

@@ -144,7 +144,7 @@ func TestRunHTTPModeDrivesServer(t *testing.T) {
 	// The server saw the traffic: its own decide histogram must cover at
 	// least the round trips the client measured (plus the warmup probe).
 	srvHists := s.Histograms()
-	if sh := srvHists[server.LatencyHist+".decide"]; sh.Count < h.Count {
+	if sh := srvHists[obs.LatencyHist+".decide"]; sh.Count < h.Count {
 		t.Errorf("server decide count = %d, client measured %d", sh.Count, h.Count)
 	}
 	events, err := os.ReadFile(filepath.Join(dir, obs.EventsFile))

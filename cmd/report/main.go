@@ -32,7 +32,6 @@
 //	report slo -latency-objective 100ms -latency-target 0.99 <rundir>
 //	report watch http://127.0.0.1:8080        # live rate/p50/p99 view from a
 //	                                          # running advisord's /metrics
-//	report watch -count 30 -p99-budget 5ms http://...  # served-latency gate
 //	report watch -format json http://...      # one JSON object per poll
 //
 // `report diff` and `report latency base new` mirror cmd/benchdiff's
@@ -129,12 +128,11 @@ subcommands:
                             multi-window 5m/1h burn rates when the run has
                             per-request events; exit 1 when a budget is
                             exhausted, 3 when no SLI could be computed)
-  watch   <url|rundir>      live rate/p50/p99 view polled from an advisord
-                            /metrics endpoint or a run directory
-                            (-interval D -count N -p99-budget D -k K
-                            -format text|json; exit 1 when the budget
-                            breaches K consecutive polls, 3 when every poll
-                            fails)
+  watch   <url>             live rate/p50/p99 and SLO-burn view polled from an
+                            advisord /metrics endpoint (-interval D -count N
+                            -format text|json; exit 3 when every poll fails;
+                            for a finished run's latency use
+                            report latency <rundir>)
 `)
 }
 
@@ -288,13 +286,7 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	if code != exitcode.OK {
 		return code
 	}
-	tree := r.Trace
-	source := "trace.json"
-	if tree == nil {
-		tree = report.TreeFromEvents(r.Events)
-		source = "events.jsonl (no start times; utilization unavailable)"
-	}
-	p := report.NewProfile(tree)
+	p := report.NewProfile(r.Trace)
 	if p == nil {
 		fmt.Fprintf(stderr, "report: %s carries no span tree (run with -trace or any -out to record one)\n", fs.Arg(0))
 		return exitcode.Vacuous
@@ -306,7 +298,7 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		}
 		return exitcode.OK
 	}
-	fmt.Fprintf(stdout, "trace profile: %s — %.1fms wall, %d spans (from %s)\n\n", p.Root, p.RootMS, p.Spans, source)
+	fmt.Fprintf(stdout, "trace profile: %s — %.1fms wall, %d spans (from trace.json)\n\n", p.Root, p.RootMS, p.Spans)
 
 	fmt.Fprintln(stdout, "hot path (longest child at each level):")
 	for i, h := range p.Hot {
@@ -495,23 +487,17 @@ func runLatency(args []string, stdout, stderr io.Writer) int {
 // ns renders a nanosecond latency as a duration string.
 func ns(v int64) time.Duration { return time.Duration(v) }
 
-// runWatch polls a live /metrics endpoint (http[s]:// target) or a run
-// directory and renders the rolling rate/quantile view; with -p99-budget it
-// gates on served tail latency.
+// runWatch polls a live /metrics endpoint (an http[s]:// target) and
+// renders the rolling rate/quantile view. It is a view, not a gate: `report
+// latency` and `report slo` judge latency.
 func runWatch(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("report watch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	interval := fs.Duration("interval", time.Second, "poll period")
-	count := fs.Int("count", 0, "number of polls (0 = watch until interrupted, or until the budget breaches)")
-	budget := fs.Duration("p99-budget", 0, "fail when the served p99 exceeds this for -k consecutive polls (0 = no gate)")
-	k := fs.Int("k", report.DefaultBreachPolls, "consecutive over-budget polls that trip the gate")
+	count := fs.Int("count", 0, "number of polls (0 = watch until interrupted)")
 	format := fs.String("format", "text", "output format: text, or json (one object per poll plus a summary object)")
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: report watch [-interval D] [-count N] [-p99-budget D] [-k K] [-format text|json] <url|rundir>")
-		return exitcode.Usage
-	}
-	if *k <= 0 {
-		fmt.Fprintln(stderr, "report: -k must be positive")
+		fmt.Fprintln(stderr, "usage: report watch [-interval D] [-count N] [-format text|json] <url>")
 		return exitcode.Usage
 	}
 	if *format != "text" && *format != "json" {
@@ -519,31 +505,23 @@ func runWatch(args []string, stdout, stderr io.Writer) int {
 		return exitcode.Usage
 	}
 	target := fs.Arg(0)
-	var src report.WatchSource
-	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
-		url := target
-		if !strings.Contains(url, "/metrics") {
-			url = strings.TrimRight(url, "/") + "/metrics"
-		}
-		src = report.MetricsSource(nil, url)
-	} else {
-		src = report.RunDirSource(target)
+	if !strings.HasPrefix(target, "http://") && !strings.HasPrefix(target, "https://") {
+		fmt.Fprintf(stderr, "report: watch polls a live http(s):// /metrics endpoint; for a run directory's latency use `report latency %s`\n", target)
+		return exitcode.Usage
 	}
-	res := report.Watch(stdout, src, report.WatchOptions{
-		Target:      target,
-		Interval:    *interval,
-		Polls:       *count,
-		P99Budget:   *budget,
-		BreachPolls: *k,
-		Format:      *format,
+	url := target
+	if !strings.Contains(url, "/metrics") {
+		url = strings.TrimRight(url, "/") + "/metrics"
+	}
+	res := report.Watch(stdout, report.MetricsSource(nil, url), report.WatchOptions{
+		Target:   target,
+		Interval: *interval,
+		Polls:    *count,
+		Format:   *format,
 	})
-	switch {
-	case res.Breached:
-		return exitcode.Failed
-	case res.Failures == res.Polls:
+	if res.Failures == res.Polls {
 		// Nothing answered: there is no evidence either way.
 		return exitcode.Vacuous
-	default:
-		return exitcode.OK
 	}
+	return exitcode.OK
 }

@@ -192,43 +192,34 @@ func TestLatencyFormats(t *testing.T) {
 	}
 }
 
-func TestWatchRunDir(t *testing.T) {
-	code, out, errOut := drive(t, "watch", "-count", "2", "-interval", "0s", fixture(t, "latency_base"))
-	if code != exitcode.OK {
-		t.Fatalf("exit = %d, stderr: %s", code, errOut)
-	}
-	for _, want := range []string{"watch ", "p99", "100000", "watched 2 polls"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("watch output missing %q:\n%s", want, out)
-		}
-	}
+// metricsServer serves body as a /metrics exposition.
+func metricsServer(t *testing.T, body string) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, body)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
 }
 
-func TestWatchBudgetGate(t *testing.T) {
-	// The fixture's p99 is microseconds; a 1ns budget must breach, a 1h
-	// budget must pass.
-	code, out, _ := drive(t, "watch", "-count", "5", "-interval", "0s", "-p99-budget", "1ns", "-k", "2", fixture(t, "latency_base"))
-	if code != exitcode.Failed {
-		t.Errorf("breach exit = %d, want %d\n%s", code, exitcode.Failed, out)
+// TestWatchRunDir: watch is live-only; a run directory is a usage error
+// that points at the subcommand which reads a finished run's latency.
+func TestWatchRunDir(t *testing.T) {
+	code, out, errOut := drive(t, "watch", "-count", "2", "-interval", "0s", fixture(t, "latency_base"))
+	if code != exitcode.Usage {
+		t.Fatalf("exit = %d, want %d\n%s", code, exitcode.Usage, out)
 	}
-	if !strings.Contains(out, "OVER BUDGET") {
-		t.Errorf("breach output:\n%s", out)
-	}
-	code, _, _ = drive(t, "watch", "-count", "1", "-interval", "0s", "-p99-budget", "1h", fixture(t, "latency_base"))
-	if code != exitcode.OK {
-		t.Errorf("generous budget exit = %d, want %d", code, exitcode.OK)
+	if !strings.Contains(errOut, "report latency") {
+		t.Errorf("run-dir refusal does not point at report latency: %s", errOut)
 	}
 }
 
 // TestWatchHTTPTarget: an http:// target is polled as a /metrics endpoint
 // (the path is appended when absent).
 func TestWatchHTTPTarget(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "advisord_requests_total 7\nadvisord_request_latency_seconds{quantile=\"0.99\"} 0.000001\n")
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	ts := metricsServer(t, "advisord_requests_total 7\nadvisord_request_latency_seconds{quantile=\"0.99\"} 0.000001\n")
 	code, out, errOut := drive(t, "watch", "-count", "1", "-interval", "0s", ts.URL)
 	if code != exitcode.OK {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
@@ -238,18 +229,24 @@ func TestWatchHTTPTarget(t *testing.T) {
 	}
 }
 
+// TestWatchMissingTargetVacuous: every poll of a dead endpoint fails, so
+// the watch has no evidence either way.
 func TestWatchMissingTargetVacuous(t *testing.T) {
-	code, _, _ := drive(t, "watch", "-count", "2", "-interval", "0s", fixture(t, "missing"))
+	ts := metricsServer(t, "")
+	url := ts.URL
+	ts.Close()
+	code, out, _ := drive(t, "watch", "-count", "2", "-interval", "0s", url)
 	if code != exitcode.Vacuous {
-		t.Errorf("all-polls-failed exit = %d, want %d", code, exitcode.Vacuous)
+		t.Errorf("all-polls-failed exit = %d, want %d\n%s", code, exitcode.Vacuous, out)
 	}
 }
 
 func TestWatchUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"watch"},
-		{"watch", "-k", "0", "x"},
-		{"watch", "-not-a-flag", "x"},
+		{"watch", "-not-a-flag", "http://127.0.0.1:1"},
+		{"watch", fixture(t, "latency_base")}, // run dirs are `report latency`'s
+		{"watch", "http://127.0.0.1:1", "extra"},
 	} {
 		if code, _, _ := drive(t, args...); code != exitcode.Usage {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitcode.Usage)
@@ -417,7 +414,8 @@ func TestSLOExitCodes(t *testing.T) {
 
 // TestWatchJSONFormat: -format json emits JSONL a machine can consume.
 func TestWatchJSONFormat(t *testing.T) {
-	code, out, errOut := drive(t, "watch", "-count", "2", "-interval", "0s", "-format", "json", fixture(t, "latency_base"))
+	ts := metricsServer(t, "advisord_requests_total 100000\nadvisord_request_latency_seconds{quantile=\"0.99\"} 0.000001\n")
+	code, out, errOut := drive(t, "watch", "-count", "2", "-interval", "0s", "-format", "json", ts.URL)
 	if code != exitcode.OK {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}
@@ -429,15 +427,16 @@ func TestWatchJSONFormat(t *testing.T) {
 		Summary  bool  `json:"summary"`
 		Polls    int   `json:"polls"`
 		Requests int64 `json:"requests"`
+		P99NS    int64 `json:"p99_ns"`
 	}
 	if err := json.Unmarshal([]byte(lines[2]), &sum); err != nil {
 		t.Fatalf("summary line %q: %v", lines[2], err)
 	}
-	if !sum.Summary || sum.Polls != 2 || sum.Requests != 100_000 {
+	if !sum.Summary || sum.Polls != 2 || sum.Requests != 100_000 || sum.P99NS != 1000 {
 		t.Errorf("summary = %+v", sum)
 	}
 
-	if code, _, _ := drive(t, "watch", "-format", "yaml", fixture(t, "latency_base")); code != exitcode.Usage {
+	if code, _, _ := drive(t, "watch", "-format", "yaml", ts.URL); code != exitcode.Usage {
 		t.Errorf("-format yaml: exit %d, want %d", code, exitcode.Usage)
 	}
 }

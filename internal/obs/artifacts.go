@@ -26,6 +26,10 @@ const (
 	// HistogramsFile holds named latency histogram snapshots (loadgen),
 	// written at close. Optional: readers must load run dirs without it.
 	HistogramsFile = "histograms.json"
+	// LatencyHist names the run-level request-latency histogram in
+	// histograms.json, written by loadgen and advisord and read by `report
+	// latency`/`slo`. Per-dataset or per-endpoint series append ".<name>".
+	LatencyHist = "request_latency_ns"
 	// TracesFile is the sampled distributed-trace stream (one TraceRecord
 	// per line), appended as the tail sampler keeps traces. Optional, like
 	// every post-v1 artifact.
@@ -141,14 +145,13 @@ func (r *RunDir) WriteHistograms(hists map[string]HistogramSnapshot) error {
 	})
 }
 
-// Close finalizes the run: emits the span tree (root may be nil) and a
-// run_end event carrying runErr, writes metrics.json from the Default
-// registry and trace.json from root, and closes the streams. Safe on nil.
+// Close finalizes the run: emits a run_end event carrying runErr, writes
+// metrics.json from the Default registry and trace.json from root (which
+// may be nil), and closes the streams. Safe on nil.
 func (r *RunDir) Close(root *Span, runErr error) error {
 	if r == nil {
 		return nil
 	}
-	r.events.SpanTree(root)
 	r.events.RunEnd(runErr, time.Since(r.info.Start))
 	var errs []error
 	if err := writeJSON(filepath.Join(r.dir, MetricsFile), Default.Snapshot()); err != nil {

@@ -41,7 +41,7 @@ func TestRunDirWritesAllArtifacts(t *testing.T) {
 		t.Errorf("manifest = %+v", gotInfo)
 	}
 
-	// events.jsonl brackets the run and carries the span tree.
+	// events.jsonl brackets the run; the span tree lives only in trace.json.
 	events, err := os.ReadFile(filepath.Join(dir, EventsFile))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestRunDirWritesAllArtifacts(t *testing.T) {
 		}
 		kinds[i] = ev.Msg
 	}
-	want := []string{"run_start", "progress", "span_end", "span_end", "run_end"}
+	want := []string{"run_start", "progress", "run_end"}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Errorf("event kinds = %v, want %v", kinds, want)
 	}

@@ -9,9 +9,10 @@ import (
 
 // TestRegistryConcurrentUpdatesDuringSnapshot hammers one registry from
 // several writer goroutines while the main goroutine repeatedly serializes
-// Snapshot() to JSON — the exact interleaving a RunDir.Close or an expvar
-// scrape performs against a live run. Run under -race (the tier-1 gate
-// does), this pins the lock/atomic discipline of the registry.
+// Snapshot() to JSON and renders WriteProm — the exact interleavings a
+// RunDir.Close and a /metrics scrape perform against a live run. Run under
+// -race (the tier-1 gate does), this pins the lock/atomic discipline of the
+// registry.
 func TestRegistryConcurrentUpdatesDuringSnapshot(t *testing.T) {
 	r := NewRegistry()
 	const writers = 4
@@ -28,10 +29,16 @@ func TestRegistryConcurrentUpdatesDuringSnapshot(t *testing.T) {
 			}
 		}(w)
 	}
-	// Serialize snapshots concurrently with the writes.
+	// Serialize snapshots and scrapes concurrently with the writes.
 	for i := 0; i < 200; i++ {
 		if _, err := json.Marshal(r.Snapshot()); err != nil {
 			t.Fatalf("snapshot %d not serializable mid-run: %v", i, err)
+		}
+		var scrape bytes.Buffer
+		p := NewPromWriter(&scrape)
+		r.WriteProm(p)
+		if err := p.Err(); err != nil {
+			t.Fatalf("scrape %d failed mid-run: %v", i, err)
 		}
 	}
 	wg.Wait()

@@ -4,23 +4,22 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"sort"
 	"time"
 )
 
 // EventLog is the persisted half of the observability layer: a structured
 // JSONL event stream built on log/slog's JSON handler. Where spans and the
 // metrics registry die with the process, an EventLog records what a run did
-// — run boundaries, span ends, progress milestones, experiment results — as
-// one self-describing JSON object per line, so the trajectory of a Monte
-// Carlo campaign can be replayed, diffed, and audited after the fact.
+// — run boundaries, progress milestones, experiment results — as one
+// self-describing JSON object per line, so the trajectory of a Monte Carlo
+// campaign can be replayed, diffed, and audited after the fact. The span
+// tree is not repeated here: RunDir.Close persists it once, as trace.json.
 //
 // Schema: every line has "time" (RFC 3339 with sub-second precision),
 // "msg" (the event kind), and "v" (the artifact SchemaVersion); the
 // remaining keys are per-kind attributes. Kinds emitted by this package:
 //
 //	run_start   tool, commit (when stamped)
-//	span_end    path, duration_ms, counters{...}
 //	progress    label, done, total
 //	run_end     ok, duration_ms, error (when failed)
 //
@@ -104,40 +103,6 @@ func (l *EventLog) Progress(label string, done, total int64) {
 		slog.Int64("done", done),
 		slog.Int64("total", total),
 	)
-}
-
-// SpanTree emits one span_end event per node of a finished span tree, in
-// depth-first order, each carrying its slash-separated path from the root,
-// its duration, and its counters (sorted by name). Emitting the tree at run
-// end — rather than hooking Span.End — keeps the hot path free of I/O.
-func (l *EventLog) SpanTree(s *Span) {
-	if l == nil || s == nil {
-		return
-	}
-	l.spanTree(s, s.Name())
-}
-
-func (l *EventLog) spanTree(s *Span, path string) {
-	attrs := []slog.Attr{
-		slog.String("path", path),
-		slog.Float64("duration_ms", durationMS(s.Duration())),
-	}
-	if counters := s.Counters(); len(counters) > 0 {
-		keys := make([]string, 0, len(counters))
-		for k := range counters {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		group := make([]any, 0, len(keys))
-		for _, k := range keys {
-			group = append(group, slog.Int64(k, counters[k]))
-		}
-		attrs = append(attrs, slog.Group("counters", group...))
-	}
-	l.Emit("span_end", attrs...)
-	for _, c := range s.Children() {
-		l.spanTree(c, path+"/"+c.Name())
-	}
 }
 
 // durationMS renders a duration as fractional milliseconds, the unit used

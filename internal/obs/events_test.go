@@ -13,18 +13,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixedSpan builds an already-ended span with a deterministic duration, so
-// golden files don't depend on the wall clock.
-func fixedSpan(name string, dur time.Duration, counters map[string]int64) *Span {
-	return &Span{
-		name:     name,
-		start:    time.Date(2016, 6, 26, 12, 0, 0, 0, time.UTC),
-		dur:      dur,
-		ended:    true,
-		counters: counters,
-	}
-}
-
 // writeFixtureEvents emits one event of every kind this package produces,
 // plus a CLI-style custom event, with all volatile inputs pinned.
 func writeFixtureEvents(w *bytes.Buffer) {
@@ -33,12 +21,6 @@ func writeFixtureEvents(w *bytes.Buffer) {
 
 	info := &RunInfo{Tool: "hamlet", Commit: "3ef8e58deadbeef"}
 	l.RunStart(info)
-
-	root := fixedSpan("analyze(Walmart)", 41*time.Millisecond, nil)
-	plan := fixedSpan("plan(JoinAll)", 39*time.Millisecond, map[string]int64{"evaluations": 120, "features": 9})
-	plan.children = []*Span{fixedSpan("materialize", 2*time.Millisecond, map[string]int64{"rows": 21078})}
-	root.children = []*Span{plan}
-	l.SpanTree(root)
 
 	l.Progress("fig3", 96, 288)
 	l.Emit("decision", slog.String("attr", "products"), slog.String("verdict", "AVOID"))
@@ -72,8 +54,8 @@ func TestEventLogRoundTrip(t *testing.T) {
 	writeFixtureEvents(&buf)
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("got %d events, want 7:\n%s", len(lines), buf.String())
+	if len(lines) != 4 {
+		t.Fatalf("got %d events, want 4:\n%s", len(lines), buf.String())
 	}
 	var kinds []string
 	for i, line := range lines {
@@ -101,13 +83,6 @@ func TestEventLogRoundTrip(t *testing.T) {
 			if ev["tool"] != "hamlet" || ev["commit"] != "3ef8e58deadbeef" {
 				t.Errorf("run_start attrs: %s", line)
 			}
-		case "span_end":
-			if _, ok := ev["path"].(string); !ok {
-				t.Errorf("span_end missing path: %s", line)
-			}
-			if _, ok := ev["duration_ms"].(float64); !ok {
-				t.Errorf("span_end missing duration_ms: %s", line)
-			}
 		case "progress":
 			if ev["label"] != "fig3" || ev["done"] != float64(96) || ev["total"] != float64(288) {
 				t.Errorf("progress attrs: %s", line)
@@ -118,22 +93,9 @@ func TestEventLogRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"run_start", "span_end", "span_end", "span_end", "progress", "decision", "run_end"}
+	want := []string{"run_start", "progress", "decision", "run_end"}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Errorf("event kinds = %v, want %v", kinds, want)
-	}
-
-	// Span paths are slash-joined from the root; counters ride in a group.
-	var planEv map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &planEv); err != nil {
-		t.Fatal(err)
-	}
-	if planEv["path"] != "analyze(Walmart)/plan(JoinAll)" {
-		t.Errorf("nested span path = %v", planEv["path"])
-	}
-	counters, ok := planEv["counters"].(map[string]any)
-	if !ok || counters["evaluations"] != float64(120) || counters["features"] != float64(9) {
-		t.Errorf("span counters group = %v", planEv["counters"])
 	}
 }
 
@@ -156,5 +118,4 @@ func TestNilEventLogNoOps(t *testing.T) {
 	l.RunStart(&RunInfo{Tool: "t"})
 	l.RunEnd(nil, 0)
 	l.Progress("p", 1, 2)
-	l.SpanTree(StartSpan("s"))
 }

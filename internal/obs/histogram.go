@@ -124,7 +124,7 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// reset zeroes the histogram (Registry.Reset).
+// reset zeroes the histogram (a window slot re-entering service).
 func (h *Histogram) reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)

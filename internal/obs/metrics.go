@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"sync"
 	"sync/atomic"
 )
@@ -71,7 +70,8 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry every instrumented package reports
-// into; published to expvar as "hamlet" by Publish.
+// into: served live on /metrics (WriteProm) and persisted as metrics.json
+// (Snapshot).
 var Default = NewRegistry()
 
 // Counter returns the named counter, creating it on first use.
@@ -112,20 +112,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetHistogram registers h under name, replacing any previous histogram of
-// that name. It is the bridge for subsystems that must build histograms at a
-// caller-chosen precision (e.g. internal/server's per-endpoint request
-// latency) but still want them on the registry's surfaces — expvar's
-// /debug/vars and the metrics.json artifact. A nil histogram is ignored.
-func (r *Registry) SetHistogram(name string, h *Histogram) {
-	if h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.histograms[name] = h
-}
-
 // Snapshot renders every metric into a JSON-marshalable map: counters and
 // gauges as numbers, histograms as HistogramSnapshot.
 func (r *Registry) Snapshot() map[string]any {
@@ -144,21 +130,6 @@ func (r *Registry) Snapshot() map[string]any {
 	return out
 }
 
-// Reset zeroes every registered metric (tests and CLI run boundaries).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.n.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.n.Store(0)
-	}
-	for _, h := range r.histograms {
-		h.reset()
-	}
-}
-
 // C returns a counter from the Default registry. Hot paths grab their
 // counters once at package init:
 //
@@ -170,14 +141,3 @@ func G(name string) *Gauge { return Default.Gauge(name) }
 
 // H returns a histogram from the Default registry.
 func H(name string) *Histogram { return Default.Histogram(name) }
-
-var publishOnce sync.Once
-
-// Publish exposes the Default registry on expvar under the name "hamlet",
-// so any process serving http (see ProfileFlags) reports live metrics at
-// /debug/vars. Safe to call more than once.
-func Publish() {
-	publishOnce.Do(func() {
-		expvar.Publish("hamlet", expvar.Func(func() any { return Default.Snapshot() }))
-	})
-}

@@ -14,13 +14,11 @@ import (
 func TestNilEventLogHotPathAllocFree(t *testing.T) {
 	var l *EventLog
 	info := &RunInfo{Tool: "hamlet"}
-	span := fixedSpan("s", time.Millisecond, nil)
 	if n := testing.AllocsPerRun(200, func() {
 		l.Emit("decision")
 		l.Progress("fig3", 1, 2)
 		l.RunStart(info)
 		l.RunEnd(nil, time.Second)
-		l.SpanTree(span)
 	}); n != 0 {
 		t.Errorf("nil *EventLog methods allocate %.1f/op, want 0", n)
 	}

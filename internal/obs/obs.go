@@ -1,7 +1,7 @@
 // Package obs is Hamlet-Go's stdlib-only observability layer: a
-// hierarchical span tracer, a process-wide metrics registry published via
-// expvar, a progress/ETA reporter for long Monte Carlo runs, and runtime
-// profiling hooks shared by the CLIs.
+// hierarchical span tracer, a process-wide metrics registry rendered on
+// /metrics and persisted as metrics.json, a progress/ETA reporter for long
+// Monte Carlo runs, and runtime profiling hooks shared by the CLIs.
 //
 // The paper's headline claim is a runtime claim — avoiding joins yields
 // large feature-selection speedups — so the repro must be able to say where
@@ -17,8 +17,8 @@
 //     turns them into a load-and-return. Both paths are benchmarked (see
 //     bench_test.go here and BenchmarkForwardSelectionObsOff at the repo
 //     root).
-//   - Stdlib only: time, sync/atomic, expvar, net/http/pprof. No external
-//     dependencies, matching the rest of the repository.
+//   - Stdlib only: time, sync/atomic, log/slog, net/http/pprof. No
+//     external dependencies, matching the rest of the repository.
 //   - Metrics are process-wide (Default registry) because the hot paths
 //     (relational.Join, fs evaluators, nb counting) have no natural place to
 //     thread a handle through; spans are explicit values threaded through

@@ -10,9 +10,20 @@ import (
 	"runtime/pprof"
 )
 
+// The -http surface is http.DefaultServeMux: net/http/pprof mounts
+// /debug/pprof/ there on import, and this init mounts /metrics beside it
+// (the expvar pattern), so a process serves the route once however often
+// Start runs.
+func init() {
+	http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", PromContentType)
+		Default.WriteProm(NewPromWriter(w))
+	})
+}
+
 // ProfileFlags bundles the runtime-profiling flags shared by the three CLIs
 // (hamlet, experiments, simulate): CPU and heap profiles for short runs, and
-// an HTTP endpoint serving net/http/pprof plus /debug/vars (the Default
+// an HTTP endpoint serving net/http/pprof plus /metrics (the Default
 // metrics registry) for long ones.
 //
 //	experiments -id fig7 -cpuprofile cpu.out -memprofile mem.out
@@ -22,7 +33,7 @@ type ProfileFlags struct {
 	CPU string
 	// Mem is the heap profile output path, written at Stop ("" disables).
 	Mem string
-	// HTTP is the listen address for pprof + expvar ("" disables).
+	// HTTP is the listen address for pprof + /metrics ("" disables).
 	HTTP string
 }
 
@@ -30,7 +41,7 @@ type ProfileFlags struct {
 func (p *ProfileFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&p.HTTP, "http", "", "serve net/http/pprof and /debug/vars on this address (e.g. :6060)")
+	fs.StringVar(&p.HTTP, "http", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
 }
 
 // Start begins profiling per the flags and returns a stop function that the
@@ -49,7 +60,6 @@ func (p *ProfileFlags) Start() (stop func() error, err error) {
 		}
 	}
 	if p.HTTP != "" {
-		Publish()
 		ln := p.HTTP
 		go func() {
 			if err := http.ListenAndServe(ln, nil); err != nil {

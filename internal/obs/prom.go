@@ -11,8 +11,9 @@ import (
 // (version 0.0.4) — the lingua franca of scrape-based monitoring — without
 // taking a client-library dependency. The write side stays tiny because the
 // repo's metric model is tiny: counters, gauges, and HistogramSnapshots.
-// internal/server's GET /metrics builds on PromWriter; internal/report's
-// `watch` parses the output back.
+// Registry.WriteProm renders the metrics registry on every /metrics (the
+// -http flag's and advisord's); internal/server adds its request series on
+// top, and internal/report's `watch` parses the output back.
 
 // PromContentType is the Content-Type of a text exposition response.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -178,21 +179,46 @@ func (p *PromWriter) Histogram(name string, labels []string, cum HistogramSnapsh
 	p.Int(name+"_count", labels, cum.Count)
 }
 
-// Export snapshots the registry's counters and gauges as plain maps — the
-// bridge /metrics uses to expose every registered scalar without reaching
-// into Registry internals. Histograms are not exported here: surfaces that
-// expose them (histograms.json, /metrics latency series) hold their own
-// handles with richer windowing than the registry tracks.
-func (r *Registry) Export() (counters, gauges map[string]int64) {
+// WriteProm renders every registered metric under "hamlet_" + PromName:
+// counters and gauges as one sample each, histograms in the histogram
+// format in their observed units (registry histograms count rows and
+// evaluations, not time). Names are sorted so successive scrapes line up.
+// Values are read after the registry lock is released, so a slow scraper
+// never blocks metric creation.
+func (r *Registry) WriteProm(p *PromWriter) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	counters = make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
+	counters, gauges, hists := sortedMetrics(r.counters), sortedMetrics(r.gauges), sortedMetrics(r.histograms)
+	r.mu.Unlock()
+	for _, c := range counters {
+		name := "hamlet_" + PromName(c.name)
+		p.Type(name, "counter", "")
+		p.Int(name, nil, c.m.Value())
 	}
-	gauges = make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
+	for _, g := range gauges {
+		name := "hamlet_" + PromName(g.name)
+		p.Type(name, "gauge", "")
+		p.Int(name, nil, g.m.Value())
 	}
-	return counters, gauges
+	for _, h := range hists {
+		name := "hamlet_" + PromName(h.name)
+		p.Type(name, "histogram", "")
+		p.Histogram(name, nil, h.m.Snapshot(), 1)
+	}
+}
+
+// namedMetric pairs a registry metric with its name.
+type namedMetric[M any] struct {
+	name string
+	m    M
+}
+
+// sortedMetrics copies one registry map into a name-sorted slice. Caller
+// holds the registry lock.
+func sortedMetrics[M any](byName map[string]M) []namedMetric[M] {
+	out := make([]namedMetric[M], 0, len(byName))
+	for name, m := range byName {
+		out = append(out, namedMetric[M]{name, m})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }

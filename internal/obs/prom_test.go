@@ -124,16 +124,36 @@ func TestPromWriterEmptyWindowSummary(t *testing.T) {
 	}
 }
 
-func TestRegistryExport(t *testing.T) {
+// TestRegistryWriteProm pins the registry's exposition: every metric under
+// hamlet_<PromName>, sorted by name within counters, gauges, then
+// histograms, with histograms in raw observed units.
+func TestRegistryWriteProm(t *testing.T) {
 	r := NewRegistry()
+	r.Counter("z.last").Add(1)
 	r.Counter("a.count").Add(3)
 	r.Gauge("b.gauge").Set(-2)
 	r.Histogram("c.hist").Observe(1)
-	counters, gauges := r.Export()
-	if counters["a.count"] != 3 || len(counters) != 1 {
-		t.Errorf("counters = %v", counters)
+	r.Histogram("c.hist").Observe(5)
+	var b strings.Builder
+	p := NewPromWriter(&b)
+	r.WriteProm(p)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if gauges["b.gauge"] != -2 || len(gauges) != 1 {
-		t.Errorf("gauges = %v", gauges)
+	want := `# TYPE hamlet_a_count counter
+hamlet_a_count 3
+# TYPE hamlet_z_last counter
+hamlet_z_last 1
+# TYPE hamlet_b_gauge gauge
+hamlet_b_gauge -2
+# TYPE hamlet_c_hist histogram
+hamlet_c_hist_bucket{le="1"} 1
+hamlet_c_hist_bucket{le="5"} 2
+hamlet_c_hist_bucket{le="+Inf"} 2
+hamlet_c_hist_sum 6
+hamlet_c_hist_count 2
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }

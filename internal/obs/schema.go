@@ -18,7 +18,10 @@ import "fmt"
 //	                go_version, goos/goarch/gomaxprocs, start
 //	events.jsonl    one JSON object per line: time (RFC 3339), msg (kind),
 //	                v, then per-kind attributes; kinds run_start, progress,
-//	                span_end, run_end plus CLI-specific kinds
+//	                run_end plus CLI-specific kinds. Earlier v1 writers also
+//	                emitted span_end (path, duration_ms, counters) per span;
+//	                the kind was dropped within v1 because it repeated
+//	                trace.json, and readers ignore it in old run dirs
 //	trace.json      span tree: name, start, duration_ms, counters{...},
 //	                children[...] (or null for traceless runs)
 //	metrics.json    Default metrics-registry snapshot (flat JSON object;

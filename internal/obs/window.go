@@ -17,13 +17,13 @@ import (
 // active slot index) on top of the underlying histogram/counter update, so
 // the hot-path guarantees of the package hold unchanged — nil receivers
 // no-op, disabled metrics cost one atomic load, and neither path allocates
-// (pinned by window_test.go). Rotation is read-driven: Window, Rate, and
-// Advance catch the ring up with the wall clock under a mutex before
-// answering, so an idle ring costs nothing and a scraped ring is always
-// time-aligned at scrape granularity. An observation racing a rotation may
-// land in the window just closed (the slot index is read before the bucket
-// update); window attribution is approximate at the boundary by design,
-// while the cumulative totals stay exact.
+// (pinned by window_test.go). Rotation is read-driven: Window and Rate catch
+// the ring up with the wall clock under a mutex before answering, so an
+// idle ring costs nothing and a scraped ring is always time-aligned at
+// scrape granularity. An observation racing a rotation may land in the
+// window just closed (the slot index is read before the bucket update);
+// window attribution is approximate at the boundary by design, while the
+// cumulative histogram stays exact.
 const (
 	// DefaultWindow is the rotation interval when none is given.
 	DefaultWindow = 10 * time.Second
@@ -82,49 +82,12 @@ func (w *WindowedHistogram) Observe(v int64) {
 	w.total.Observe(v)
 }
 
-// Cumulative returns the histogram observing every value since construction
-// (nil on a nil receiver). It is the bridge to surfaces that want the
-// process-lifetime view — Registry.SetHistogram, histograms.json — and must
-// be treated as read-only by callers.
-func (w *WindowedHistogram) Cumulative() *Histogram {
-	if w == nil {
-		return nil
-	}
-	return w.total
-}
-
-// Total snapshots the cumulative histogram.
+// Total snapshots the cumulative histogram (empty on a nil receiver).
 func (w *WindowedHistogram) Total() HistogramSnapshot {
-	return w.Cumulative().Snapshot()
-}
-
-// Interval returns the rotation interval (0 on nil).
-func (w *WindowedHistogram) Interval() time.Duration {
 	if w == nil {
-		return 0
+		return HistogramSnapshot{Precision: DefaultPrecision}
 	}
-	return time.Duration(w.interval)
-}
-
-// Windows returns the ring size (0 on nil).
-func (w *WindowedHistogram) Windows() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.slots)
-}
-
-// Advance catches the ring up with the wall clock: every window whose
-// interval fully elapsed is closed and the slots that re-enter service are
-// zeroed. Reads (Window) advance implicitly; an explicit ticker may call
-// this to keep attribution sharp between scrapes.
-func (w *WindowedHistogram) Advance() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	w.advanceLocked(w.nowNS())
-	w.mu.Unlock()
+	return w.total.Snapshot()
 }
 
 // advanceLocked rotates the ring forward to now. Caller holds mu.
@@ -147,7 +110,7 @@ func (w *WindowedHistogram) advanceLocked(now int64) {
 
 // Window merges the last n windows — the active (partial) one plus the n-1
 // most recent closed ones — into one snapshot, after catching the ring up
-// with the clock. n outside [1, Windows()] means the whole ring. On a nil
+// with the clock. n outside [1, ring depth] means the whole ring. On a nil
 // receiver returns an empty snapshot at DefaultPrecision.
 func (w *WindowedHistogram) Window(n int) HistogramSnapshot {
 	if w == nil {
@@ -175,15 +138,14 @@ func (w *WindowedHistogram) Window(n int) HistogramSnapshot {
 	return out
 }
 
-// WindowedCounter is a monotone counter with a rolling-rate view: Add lands
-// in both a cumulative total and the active window of a ring rotated on a
-// wall-clock interval, and Rate reduces the ring to events per second. The
-// zero value is not usable; build with NewWindowedCounter. A nil
-// *WindowedCounter no-ops.
+// WindowedCounter is a rolling-rate counter: Add lands in the active window
+// of a ring rotated on a wall-clock interval, and Rate reduces the ring to
+// events per second. Cumulative counts live with the caller (advisord's
+// request counters). The zero value is not usable; build with
+// NewWindowedCounter. A nil *WindowedCounter no-ops.
 type WindowedCounter struct {
 	interval int64
 	slots    []atomic.Int64
-	total    atomic.Int64
 	cur      atomic.Uint64
 	mu       sync.Mutex
 	epoch    int64 // start of the active window (unix ns), guarded by mu
@@ -216,19 +178,10 @@ func (c *WindowedCounter) Add(delta int64) {
 		return
 	}
 	c.slots[int(c.cur.Load())%len(c.slots)].Add(delta)
-	c.total.Add(delta)
 }
 
 // Inc adds one.
 func (c *WindowedCounter) Inc() { c.Add(1) }
-
-// Total returns the cumulative count since construction.
-func (c *WindowedCounter) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.total.Load()
-}
 
 // advanceLocked rotates the ring forward to now. Caller holds mu.
 func (c *WindowedCounter) advanceLocked(now int64) {
@@ -250,7 +203,7 @@ func (c *WindowedCounter) advanceLocked(now int64) {
 
 // Rate returns events per second over the ring's live span: the closed
 // windows still in the ring plus the active partial one, so it is a rolling
-// rate over at most Windows()·Interval() of history. Returns 0 before any
+// rate over at most the ring depth times the interval of history. Returns 0 before any
 // time has passed or on a nil receiver.
 func (c *WindowedCounter) Rate() float64 {
 	if c == nil {

@@ -53,7 +53,7 @@ func TestWindowedHistogramRotationDropsOldWindows(t *testing.T) {
 	}
 
 	clk.advance(time.Second) // close window 0
-	w.Advance()              // rotation is read-driven; tick explicitly
+	_ = w.Window(1)          // rotation is read-driven; a read catches up
 	w.Observe(300)
 	if got := w.Window(1).Count; got != 1 {
 		t.Errorf("active window count after rotation = %d, want 1", got)
@@ -144,7 +144,6 @@ func TestWindowedHistogramObserveDuringRotation(t *testing.T) {
 				return
 			default:
 				clk.advance(time.Millisecond)
-				w.Advance()
 				_ = w.Window(2)
 				_ = w.Total()
 			}
@@ -173,9 +172,6 @@ func TestWindowedCounterRate(t *testing.T) {
 	if got := c.Rate(); got != 0 {
 		t.Errorf("idle rate = %.1f, want 0", got)
 	}
-	if got := c.Total(); got != 500 {
-		t.Errorf("cumulative total = %d, want 500", got)
-	}
 	// Rate covers the ring's whole live span, not just the active window:
 	// 200 events inside a full 4-deep ring — 3 closed windows plus the 0.5s
 	// the idle jump left in the active one → 200 / 3.5s.
@@ -188,23 +184,30 @@ func TestWindowedCounterRate(t *testing.T) {
 	}
 }
 
+// TestWindowedCounterConcurrentAdd hammers Add while another goroutine
+// forces rotations (run under -race this pins the lock-free Add / locked
+// rotation interplay), then checks that concurrent Adds into a still ring
+// lose no update.
 func TestWindowedCounterConcurrentAdd(t *testing.T) {
 	c, clk := newTestWindowedCounter(time.Millisecond, 4)
 	const (
 		adders = 8
 		perG   = 5000
 	)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(adders)
-	for g := 0; g < adders; g++ {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c.Inc()
-			}
-		}()
+	hammer := func() {
+		var wg sync.WaitGroup
+		wg.Add(adders)
+		for g := 0; g < adders; g++ {
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					c.Inc()
+				}
+			}()
+		}
+		wg.Wait()
 	}
+	stop := make(chan struct{})
 	var rot sync.WaitGroup
 	rot.Add(1)
 	go func() {
@@ -215,15 +218,26 @@ func TestWindowedCounterConcurrentAdd(t *testing.T) {
 				return
 			default:
 				clk.advance(time.Millisecond)
-				_ = c.Rate()
+				if r := c.Rate(); r < 0 {
+					t.Errorf("rate = %v mid-rotation, want >= 0", r)
+				}
 			}
 		}
 	}()
-	wg.Wait()
+	hammer()
 	close(stop)
 	rot.Wait()
-	if got := c.Total(); got != adders*perG {
-		t.Errorf("total = %d, want %d", got, adders*perG)
+
+	live := func() (n int64) {
+		for i := range c.slots {
+			n += c.slots[i].Load()
+		}
+		return n
+	}
+	before := live()
+	hammer() // the clock is still, so the ring does not rotate
+	if got := live() - before; got != adders*perG {
+		t.Errorf("ring gained %d, want %d", got, adders*perG)
 	}
 }
 
@@ -232,24 +246,17 @@ func TestWindowedCounterConcurrentAdd(t *testing.T) {
 func TestNilWindowedNoOps(t *testing.T) {
 	var w *WindowedHistogram
 	w.Observe(1)
-	w.Advance()
 	if s := w.Window(3); s.Count != 0 || s.Precision != DefaultPrecision {
 		t.Errorf("nil Window = %+v", s)
 	}
-	if s := w.Total(); s.Count != 0 {
+	if s := w.Total(); s.Count != 0 || s.Precision != DefaultPrecision {
 		t.Errorf("nil Total = %+v", s)
-	}
-	if w.Cumulative() != nil {
-		t.Error("nil Cumulative is non-nil")
-	}
-	if w.Interval() != 0 || w.Windows() != 0 {
-		t.Error("nil Interval/Windows nonzero")
 	}
 	var c *WindowedCounter
 	c.Add(1)
 	c.Inc()
-	if c.Total() != 0 || c.Rate() != 0 {
-		t.Error("nil counter nonzero")
+	if c.Rate() != 0 {
+		t.Error("nil counter rate nonzero")
 	}
 }
 

@@ -59,7 +59,7 @@ type Run struct {
 type Event struct {
 	// Time is the event timestamp.
 	Time time.Time
-	// Msg is the event kind ("run_start", "span_end", ...).
+	// Msg is the event kind ("run_start", "http_request", ...).
 	Msg string
 	// V is the line's schema stamp (0 on legacy lines).
 	V int

@@ -205,7 +205,7 @@ func (r *Run) sloAvailability(opt SLOOptions) SLOResult {
 	}
 	// Fallback: a loadgen run counts failures in metrics.json and every
 	// attempt in the run-level latency histogram.
-	h, ok := r.Histograms[watchHist]
+	h, ok := r.Histograms[obs.LatencyHist]
 	if !ok || h.Count == 0 || r.Metrics == nil {
 		return res
 	}
@@ -229,7 +229,7 @@ func (r *Run) sloLatency(opt SLOOptions) SLOResult {
 	// at or under the objective" without per-request data. CountAtOrBelow is
 	// conservative (it may undercount good requests by one bucket), so the
 	// gate errs toward failing, never toward passing.
-	h, ok := r.Histograms[watchHist]
+	h, ok := r.Histograms[obs.LatencyHist]
 	if !ok || h.Count == 0 {
 		return res
 	}

@@ -126,7 +126,7 @@ func writeRun(name, tool string, latencies []int64) {
 	writeJSON(filepath.Join(dir, obs.HistogramsFile), obs.HistogramsArtifact{
 		SchemaVersion: obs.SchemaVersion,
 		Histograms: map[string]obs.HistogramSnapshot{
-			"request_latency_ns": snap,
+			obs.LatencyHist: snap,
 		},
 	})
 	fmt.Printf("%s: %d samples, p50 %v p99 %v\n", dir, snap.Count,

@@ -35,8 +35,7 @@ type Profile struct {
 	// double-counted with their children's.
 	Counters []CounterTotal
 	// Util summarizes worker parallelism from leaf-span wall-clock overlap
-	// (nil when the tree has no start times, e.g. when reconstructed from
-	// events.jsonl).
+	// (nil when the tree carries no start times).
 	Util *Utilization
 }
 
@@ -178,7 +177,7 @@ func (p *Profile) addCounter(name string, v int64) {
 }
 
 // utilization sweeps the leaf spans' wall-clock intervals. Trees without
-// start times (events.jsonl reconstructions) yield nil.
+// start times yield nil.
 func utilization(root *TraceSpan, leaves []*TraceSpan) *Utilization {
 	if root.DurationMS <= 0 || len(leaves) == 0 {
 		return nil
@@ -219,54 +218,6 @@ func utilization(root *TraceSpan, leaves []*TraceSpan) *Utilization {
 		Peak:   peak,
 		Leaves: len(leaves),
 	}
-}
-
-// TreeFromEvents reconstructs a span tree from span_end events, for run
-// directories whose trace.json is missing or null. Events carry paths and
-// durations but no start times, so the resulting tree profiles total/self
-// time and counters but not worker utilization. Returns nil when the
-// events carry no span_end lines.
-func TreeFromEvents(events []Event) *TraceSpan {
-	byPath := make(map[string]*TraceSpan)
-	var root *TraceSpan
-	for _, ev := range events {
-		if ev.Msg != "span_end" {
-			continue
-		}
-		path, _ := ev.Attrs["path"].(string)
-		if path == "" {
-			continue
-		}
-		dur, _ := ev.Attrs["duration_ms"].(float64)
-		s := &TraceSpan{Name: path[strings.LastIndex(path, "/")+1:], DurationMS: dur}
-		if counters, ok := ev.Attrs["counters"].(map[string]any); ok {
-			s.Counters = make(map[string]int64, len(counters))
-			for k, v := range counters {
-				if f, ok := v.(float64); ok {
-					s.Counters[k] = int64(f)
-				}
-			}
-		}
-		byPath[path] = s
-		switch parent := byPath[parentPath(path)]; {
-		case parent != nil && parent != s:
-			parent.Children = append(parent.Children, s)
-		case root == nil:
-			root = s
-		default:
-			// Orphan (its parent never emitted); keep it visible.
-			root.Children = append(root.Children, s)
-		}
-	}
-	return root
-}
-
-// parentPath strips the last slash segment ("" for a root path).
-func parentPath(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[:i]
-	}
-	return ""
 }
 
 // WriteFolded renders the profile as folded stacks — one line per

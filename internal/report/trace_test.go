@@ -136,22 +136,18 @@ func TestGeneralize(t *testing.T) {
 	}
 }
 
-func TestTreeFromEvents(t *testing.T) {
-	events := []Event{
-		{Msg: "run_start", Attrs: map[string]any{"tool": "experiments"}},
-		{Msg: "span_end", Attrs: map[string]any{"path": "root", "duration_ms": 20.0}},
-		{Msg: "span_end", Attrs: map[string]any{"path": "root/a", "duration_ms": 15.0, "counters": map[string]any{"rows": 7.0}}},
-		{Msg: "span_end", Attrs: map[string]any{"path": "root/a/a1", "duration_ms": 5.0}},
-		{Msg: "span_end", Attrs: map[string]any{"path": "root/b", "duration_ms": 4.0}},
-		{Msg: "run_end", Attrs: map[string]any{"ok": true}},
-	}
-	tree := TreeFromEvents(events)
-	if tree == nil || tree.Name != "root" || len(tree.Children) != 2 {
-		t.Fatalf("tree = %+v", tree)
-	}
+// TestProfileWithoutStartTimes: a tree whose spans carry no start times
+// still profiles total/self time and counters, with utilization nil.
+func TestProfileWithoutStartTimes(t *testing.T) {
+	tree := &TraceSpan{Name: "root", DurationMS: 20, Children: []*TraceSpan{
+		{Name: "a", DurationMS: 15, Counters: map[string]int64{"rows": 7}, Children: []*TraceSpan{
+			{Name: "a1", DurationMS: 5},
+		}},
+		{Name: "b", DurationMS: 4},
+	}}
 	p := NewProfile(tree)
 	if p.Util != nil {
-		t.Error("events-reconstructed tree has no start times; utilization must be nil")
+		t.Error("a tree without start times must leave utilization nil")
 	}
 	got := map[string]float64{}
 	for _, ps := range p.Paths {
@@ -164,15 +160,14 @@ func TestTreeFromEvents(t *testing.T) {
 			t.Errorf("self(%s) = %v, want %v", path, got[path], self)
 		}
 	}
-	if p.Counters[0].Name != "rows" || p.Counters[0].Total != 7 {
+	if len(p.Counters) != 1 || p.Counters[0].Name != "rows" || p.Counters[0].Total != 7 {
 		t.Errorf("counters = %+v", p.Counters)
 	}
 }
 
-func TestTreeFromEventsEmpty(t *testing.T) {
-	if tree := TreeFromEvents(nil); tree != nil {
-		t.Errorf("TreeFromEvents(nil) = %+v", tree)
-	}
+// TestProfileNilTree: a nil tree profiles to nil, which cmd/report turns
+// into its "no span tree" vacuous exit.
+func TestProfileNilTree(t *testing.T) {
 	if p := NewProfile(nil); p != nil {
 		t.Errorf("NewProfile(nil) = %+v", p)
 	}

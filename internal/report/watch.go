@@ -12,10 +12,11 @@ import (
 
 // This file is the live half of the latency read side: where latency.go
 // renders a finished run's histograms.json, `report watch` polls a running
-// advisord's /metrics exposition (or a run directory, re-read each poll) and
-// renders a rolling rate/quantile view with deltas — plus an optional p99
-// budget that turns the watcher into a serving-latency gate. The exposition
-// parser is the read complement of internal/obs's PromWriter.
+// advisord's /metrics exposition and renders a rolling rate/quantile view
+// with deltas and the server's SLO burn. It is a view, not a gate: `report
+// latency base new` gates a regression between runs and `report slo` gates
+// a run against an objective. The exposition parser is the read complement
+// of internal/obs's PromWriter.
 
 // PromSample is one parsed exposition sample line.
 type PromSample struct {
@@ -145,8 +146,8 @@ func parsePromLabels(in string) (map[string]string, error) {
 type WatchSample struct {
 	// Requests and Errors are cumulative counts at poll time.
 	Requests, Errors int64
-	// P50NS and P99NS are latency quantiles in nanoseconds — rolling-window
-	// estimates from /metrics, whole-run estimates from a run directory.
+	// P50NS and P99NS are the rolling-window latency quantiles in
+	// nanoseconds.
 	P50NS, P99NS int64
 	// AvailBurn and LatBurn are the server's rolling SLO error-budget burn
 	// rates (advisord_slo_error_budget_burn), valid only when HasBurn is
@@ -215,46 +216,15 @@ func MetricsSource(client *http.Client, url string) WatchSource {
 	}
 }
 
-// watchHist is the run-level latency histogram a run directory persists
-// (server.LatencyHist / loadgen's run-level merge).
-const watchHist = "request_latency_ns"
-
-// RunDirSource polls a run directory's histograms.json — the post-mortem
-// twin of MetricsSource, re-read each poll so a directory being rewritten
-// (a daemon flushing on shutdown) converges on the final numbers.
-func RunDirSource(dir string) WatchSource {
-	return func() (WatchSample, error) {
-		r, err := Load(dir)
-		if err != nil {
-			return WatchSample{}, err
-		}
-		h, ok := r.Histograms[watchHist]
-		if !ok {
-			return WatchSample{}, fmt.Errorf("report: %s has no %s histogram to watch", dir, watchHist)
-		}
-		return WatchSample{
-			Requests: h.Count,
-			P50NS:    h.Quantile(0.50),
-			P99NS:    h.Quantile(0.99),
-		}, nil
-	}
-}
-
 // WatchOptions configures a watch loop.
 type WatchOptions struct {
-	// Target labels the watched thing in the header (a URL or run dir).
+	// Target labels the watched URL in the header.
 	Target string
 	// Interval is the poll period (0 = poll back-to-back; tests).
 	Interval time.Duration
-	// Polls bounds the loop; <= 0 watches until the budget breaches (or
-	// forever — the interactive mode, ended by interrupt).
+	// Polls bounds the loop; <= 0 watches forever (the interactive mode,
+	// ended by interrupt).
 	Polls int
-	// P99Budget, when positive, arms the gate: BreachPolls consecutive polls
-	// with p99 over it stop the watch with Breached set.
-	P99Budget time.Duration
-	// BreachPolls is the consecutive-breach count that trips the gate
-	// (0 = DefaultBreachPolls).
-	BreachPolls int
 	// Format selects the rendering: "" or "text" for the human table,
 	// "json" for one JSON object per poll (JSONL) plus a summary object —
 	// the machine-readable twin for piping into jq or a dashboard.
@@ -276,7 +246,6 @@ type WatchPollJSON struct {
 	// (nil when the server exposes none).
 	BurnAvailability *float64 `json:"burn_availability,omitempty"`
 	BurnLatency      *float64 `json:"burn_latency,omitempty"`
-	OverBudget       bool     `json:"over_budget,omitempty"`
 }
 
 // WatchSummaryJSON is the final row of `watch -format json` output.
@@ -284,35 +253,23 @@ type WatchSummaryJSON struct {
 	Summary  bool  `json:"summary"`
 	Polls    int   `json:"polls"`
 	Failures int   `json:"failures"`
-	Breached bool  `json:"breached"`
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
 	P99NS    int64 `json:"p99_ns"`
 }
 
-// DefaultBreachPolls is how many consecutive over-budget polls trip the
-// gate: one poll can be a scrape racing a cold start; three in a row is a
-// trend.
-const DefaultBreachPolls = 3
-
 // WatchResult is a watch loop's outcome.
 type WatchResult struct {
 	// Polls and Failures count polls attempted and polls that errored.
 	Polls, Failures int
-	// Breached reports the p99 budget tripping (BreachPolls consecutive).
-	Breached bool
 	// Last is the final successful sample (zero if every poll failed).
 	Last WatchSample
 }
 
 // Watch polls src and renders one line per poll: cumulative requests, the
-// rate and error delta since the previous poll, and the current p50/p99.
-// With a p99 budget it doubles as a gate, stopping early once the budget is
-// breached on BreachPolls consecutive polls.
+// rate and error delta since the previous poll, the current p50/p99, and
+// the SLO burn rates when the server exposes them.
 func Watch(w io.Writer, src WatchSource, opt WatchOptions) WatchResult {
-	if opt.BreachPolls <= 0 {
-		opt.BreachPolls = DefaultBreachPolls
-	}
 	jsonOut := opt.Format == "json"
 	enc := json.NewEncoder(w)
 	if !jsonOut {
@@ -323,9 +280,6 @@ func Watch(w io.Writer, src WatchSource, opt WatchOptions) WatchResult {
 		if opt.Interval > 0 {
 			fmt.Fprintf(w, " every %v", opt.Interval)
 		}
-		if opt.P99Budget > 0 {
-			fmt.Fprintf(w, " (p99 budget %v, %d consecutive to fail)", opt.P99Budget, opt.BreachPolls)
-		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "%6s  %10s  %10s  %8s  %10s  %10s\n",
 			"poll", "requests", "rate/s", "errors", "p50", "p99")
@@ -335,7 +289,6 @@ func Watch(w io.Writer, src WatchSource, opt WatchOptions) WatchResult {
 	var prev WatchSample
 	var prevAt time.Time
 	var havePrev bool
-	streak := 0
 	for i := 0; opt.Polls <= 0 || i < opt.Polls; i++ {
 		if i > 0 && opt.Interval > 0 {
 			time.Sleep(opt.Interval)
@@ -359,16 +312,10 @@ func Watch(w io.Writer, src WatchSource, opt WatchOptions) WatchResult {
 				rateVal = &v
 			}
 		}
-		over := opt.P99Budget > 0 && s.P99NS > int64(opt.P99Budget)
-		if over {
-			streak++
-		} else {
-			streak = 0
-		}
 		if jsonOut {
 			row := WatchPollJSON{
 				Poll: i + 1, Requests: s.Requests, RatePerSec: rateVal,
-				Errors: s.Errors, P50NS: s.P50NS, P99NS: s.P99NS, OverBudget: over,
+				Errors: s.Errors, P50NS: s.P50NS, P99NS: s.P99NS,
 			}
 			if s.HasBurn {
 				ab, lb := s.AvailBurn, s.LatBurn
@@ -390,9 +337,6 @@ func Watch(w io.Writer, src WatchSource, opt WatchOptions) WatchResult {
 			if s.HasBurn {
 				status = fmt.Sprintf("  burn %.2f/%.2f", s.AvailBurn, s.LatBurn)
 			}
-			if over {
-				status += fmt.Sprintf("  OVER BUDGET (%d/%d)", streak, opt.BreachPolls)
-			}
 			fmt.Fprintf(w, "%6d  %10d  %10s  %8s  %10v  %10v%s\n",
 				i+1, s.Requests, rate,
 				strconv.FormatInt(s.Errors, 10)+errDelta,
@@ -400,26 +344,18 @@ func Watch(w io.Writer, src WatchSource, opt WatchOptions) WatchResult {
 		}
 		res.Last = s
 		prev, prevAt, havePrev = s, now, true
-		if streak >= opt.BreachPolls {
-			res.Breached = true
-			break
-		}
 	}
 	if jsonOut {
 		_ = enc.Encode(WatchSummaryJSON{
 			Summary: true, Polls: res.Polls, Failures: res.Failures,
-			Breached: res.Breached, Requests: res.Last.Requests,
-			Errors: res.Last.Errors, P99NS: res.Last.P99NS,
+			Requests: res.Last.Requests, Errors: res.Last.Errors,
+			P99NS: res.Last.P99NS,
 		})
 		return res
 	}
-	switch {
-	case res.Breached:
-		fmt.Fprintf(w, "p99 budget %v breached on %d consecutive polls (last p99 %v)\n",
-			opt.P99Budget, opt.BreachPolls, time.Duration(res.Last.P99NS))
-	case res.Failures == res.Polls:
+	if res.Failures == res.Polls {
 		fmt.Fprintf(w, "all %d polls failed; nothing watched\n", res.Polls)
-	default:
+	} else {
 		fmt.Fprintf(w, "watched %d polls (%d failed): %d requests, %d errors, p99 %v\n",
 			res.Polls, res.Failures, res.Last.Requests, res.Last.Errors, time.Duration(res.Last.P99NS))
 	}

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"hamlet/internal/obs"
 )
@@ -112,21 +110,6 @@ func TestMetricsSourceRejectsForeignExposition(t *testing.T) {
 	}
 }
 
-func TestRunDirSource(t *testing.T) {
-	src := RunDirSource(filepath.Join("testdata", "latency_base"))
-	s, err := src()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Requests != 100_000 || s.P50NS <= 0 || s.P99NS < s.P50NS {
-		t.Errorf("sample from fixture = %+v", s)
-	}
-
-	if _, err := RunDirSource(filepath.Join("testdata", "no-such-dir"))(); err == nil {
-		t.Error("missing run dir must error per poll")
-	}
-}
-
 func TestWatchRendersDeltasAndSummary(t *testing.T) {
 	var n int64
 	src := func() (WatchSample, error) {
@@ -135,7 +118,7 @@ func TestWatchRendersDeltasAndSummary(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res := Watch(&buf, src, WatchOptions{Target: "test", Polls: 3})
-	if res.Polls != 3 || res.Failures != 0 || res.Breached {
+	if res.Polls != 3 || res.Failures != 0 {
 		t.Fatalf("result = %+v", res)
 	}
 	if res.Last.Requests != 300 {
@@ -146,45 +129,6 @@ func TestWatchRendersDeltasAndSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("watch output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestWatchBudgetBreachStopsEarly(t *testing.T) {
-	src := func() (WatchSample, error) {
-		return WatchSample{Requests: 1, P99NS: int64(10 * time.Millisecond)}, nil
-	}
-	var buf bytes.Buffer
-	res := Watch(&buf, src, WatchOptions{
-		Target:      "test",
-		Polls:       10,
-		P99Budget:   time.Millisecond,
-		BreachPolls: 2,
-	})
-	if !res.Breached {
-		t.Fatalf("budget did not breach: %+v\n%s", res, buf.String())
-	}
-	if res.Polls != 2 {
-		t.Errorf("breach must stop the loop at k polls, ran %d", res.Polls)
-	}
-	if !strings.Contains(buf.String(), "OVER BUDGET") || !strings.Contains(buf.String(), "breached on 2 consecutive polls") {
-		t.Errorf("output does not name the breach:\n%s", buf.String())
-	}
-}
-
-// TestWatchBreachStreakResets: a recovery between over-budget polls resets
-// the consecutive count, so a single spike never fails the gate.
-func TestWatchBreachStreakResets(t *testing.T) {
-	p99 := []int64{int64(10 * time.Millisecond), int64(time.Microsecond), int64(10 * time.Millisecond), int64(time.Microsecond)}
-	i := 0
-	src := func() (WatchSample, error) {
-		s := WatchSample{Requests: 1, P99NS: p99[i%len(p99)]}
-		i++
-		return s, nil
-	}
-	var buf bytes.Buffer
-	res := Watch(&buf, src, WatchOptions{Target: "t", Polls: 4, P99Budget: time.Millisecond, BreachPolls: 2})
-	if res.Breached {
-		t.Errorf("alternating spikes tripped the %d-consecutive gate:\n%s", 2, buf.String())
 	}
 }
 
@@ -278,7 +222,7 @@ func TestWatchAllPollsFail(t *testing.T) {
 	src := func() (WatchSample, error) { return WatchSample{}, fmt.Errorf("connection refused") }
 	var buf bytes.Buffer
 	res := Watch(&buf, src, WatchOptions{Target: "dead", Polls: 2})
-	if res.Failures != 2 || res.Breached {
+	if res.Failures != 2 {
 		t.Fatalf("result = %+v", res)
 	}
 	if !strings.Contains(buf.String(), "all 2 polls failed") {

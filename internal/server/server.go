@@ -8,18 +8,16 @@
 // directory; cmd/loadgen's HTTP mode drives it at service speed.
 //
 // Observability follows the repo's conventions: per-endpoint request
-// latency lands in obs.Histograms (published to the Default registry, so
-// they show on /debug/vars live and in metrics.json at close, and flushed
-// as histograms.json so `report latency` works unchanged on server runs),
-// and each request is logged as an "http_request" event when the server is
-// given a run dir's event log.
+// latency lands in the server's own windowed histograms (live on /metrics,
+// flushed as histograms.json so `report latency` works unchanged on server
+// runs), and each request is logged as an "http_request" event when the
+// server is given a run dir's event log.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -34,12 +32,6 @@ import (
 	"hamlet/internal/obs"
 	"hamlet/internal/registry"
 )
-
-// LatencyHist is the base name of the request-latency histograms, shared
-// with cmd/loadgen so `report latency` aligns server runs against loadgen
-// runs. Per-endpoint series append ".<endpoint>"; the run-level merge is
-// the bare name.
-const LatencyHist = "request_latency_ns"
 
 // endpoints are the instrumented routes, each with its own latency series.
 var endpoints = []string{"decide", "datasets", "healthz", "readyz", "metrics"}
@@ -81,10 +73,8 @@ type Config struct {
 	Registry *registry.Registry
 	// Window is the rolling-metrics rotation interval
 	// (0 = obs.DefaultWindow). /metrics summaries and rates cover the last
-	// Windows of this length.
+	// obs.DefaultWindows windows of this length.
 	Window time.Duration
-	// Windows is the rolling-metrics ring depth (0 = obs.DefaultWindows).
-	Windows int
 	// Slow is the slow-request threshold: a request at or beyond it is
 	// logged, counted, and retained as an exemplar on /debug/slow.
 	// 0 disables slow-request capture.
@@ -172,9 +162,6 @@ func New(cfg Config) *Server {
 	if cfg.Window == 0 {
 		cfg.Window = obs.DefaultWindow
 	}
-	if cfg.Windows == 0 {
-		cfg.Windows = obs.DefaultWindows
-	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
@@ -182,8 +169,8 @@ func New(cfg Config) *Server {
 		advTR:    &core.Advisor{Rule: core.TRRule},
 		advROR:   &core.Advisor{Rule: core.RORRule},
 		hists:    make(map[string]*obs.WindowedHistogram, len(endpoints)),
-		wreq:     obs.NewWindowedCounter(cfg.Window, cfg.Windows),
-		werr:     obs.NewWindowedCounter(cfg.Window, cfg.Windows),
+		wreq:     obs.NewWindowedCounter(cfg.Window, obs.DefaultWindows),
+		werr:     obs.NewWindowedCounter(cfg.Window, obs.DefaultWindows),
 		idPrefix: requestIDPrefix(),
 	}
 	s.buildVersion, s.buildCommit = obs.BuildIdentity()
@@ -191,14 +178,7 @@ func New(cfg Config) *Server {
 		s.known[name] = true
 	}
 	for _, ep := range endpoints {
-		h := obs.NewWindowedHistogram(cfg.Precision, cfg.Window, cfg.Windows)
-		s.hists[ep] = h
-		// Publish the cumulative view on the Default registry: live on
-		// /debug/vars, persisted in metrics.json. The flush-to-
-		// histograms.json copy comes from the server's own handles
-		// (Histograms), so parallel servers in tests never bleed into each
-		// other's artifacts. The windowed view is /metrics-only.
-		obs.Default.SetHistogram("advisord."+LatencyHist+"."+ep, h.Cumulative())
+		s.hists[ep] = obs.NewWindowedHistogram(cfg.Precision, cfg.Window, obs.DefaultWindows)
 	}
 
 	mux := http.NewServeMux()
@@ -208,8 +188,6 @@ func New(cfg Config) *Server {
 	mux.Handle("GET /readyz", s.instrument("readyz", s.handleReady))
 	mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /debug/slow", s.handleSlow)
-	obs.Publish()
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -277,14 +255,14 @@ func (s *Server) Histograms() map[string]obs.HistogramSnapshot {
 		if snap.Count == 0 {
 			continue
 		}
-		out[LatencyHist+"."+ep] = snap
+		out[obs.LatencyHist+"."+ep] = snap
 		// Same precision everywhere by construction; Merge cannot fail.
 		_ = total.Merge(snap)
 	}
 	if total.Count == 0 {
 		total.Precision = s.cfg.Precision
 	}
-	out[LatencyHist] = total
+	out[obs.LatencyHist] = total
 	return out
 }
 
@@ -301,10 +279,31 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// RequestIDHeader carries the request ID on requests and responses: an
-// inbound value is adopted verbatim, a missing one is minted server-side,
-// and either way the response echoes it.
+// RequestIDHeader carries the request ID on requests and responses: a
+// well-formed inbound value (see requestID) is adopted verbatim, any other
+// is replaced by one minted server-side, and either way the response
+// echoes it.
 const RequestIDHeader = "X-Request-ID"
+
+// maxRequestIDLen caps an adopted inbound request ID. The ID is echoed,
+// logged, traced and retained in the /debug/slow ring, so an unbounded one
+// would let a client park up to the header limit (1 MB) per slow request.
+const maxRequestIDLen = 128
+
+// requestID returns the request's inbound ID when it is 1..maxRequestIDLen
+// bytes of visible ASCII (0x21-0x7e), else a freshly minted one.
+func (s *Server) requestID(r *http.Request) string {
+	id := r.Header.Get(RequestIDHeader)
+	if id == "" || len(id) > maxRequestIDLen {
+		return s.nextRequestID()
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return s.nextRequestID()
+		}
+	}
+	return id
+}
 
 // instrument wraps a handler with the per-endpoint latency histogram, the
 // request/error counters and rolling rates, the request ID, the trace
@@ -313,10 +312,7 @@ const RequestIDHeader = "X-Request-ID"
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	hist := s.hists[endpoint]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
-		if id == "" {
-			id = s.nextRequestID()
-		}
+		id := s.requestID(r)
 		w.Header().Set(RequestIDHeader, id)
 		st := s.startTrace(w, r, endpoint)
 		if st.span != nil {

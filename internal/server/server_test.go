@@ -246,23 +246,37 @@ func TestHealthAndReadyLifecycle(t *testing.T) {
 	}
 }
 
-func TestDebugVarsServesMetricsRegistry(t *testing.T) {
+// TestMetricsExposesRegistry: after a decide, every metric on the Default
+// registry appears on /metrics under hamlet_<PromName> (histograms by their
+// _count line), and /debug/vars is not served.
+func TestMetricsExposesRegistry(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	postDecide(t, ts, DecideRequest{Requests: []Query{{Dataset: "Walmart"}}})
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	status, data := get(t, ts, "/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", status)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	lines := make(map[string]bool)
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			lines[name] = true
+		}
 	}
-	if !bytes.Contains(data, []byte(`"hamlet"`)) {
-		t.Error("/debug/vars does not publish the hamlet registry")
+	snap := obs.Default.Snapshot()
+	if len(snap) == 0 {
+		t.Fatal("the Default registry is empty after a decide")
 	}
-	if !bytes.Contains(data, []byte("advisord."+LatencyHist+".decide")) {
-		t.Errorf("/debug/vars does not carry the decide latency histogram:\n%.2000s", data)
+	for name, v := range snap {
+		want := "hamlet_" + obs.PromName(name)
+		if _, isHist := v.(obs.HistogramSnapshot); isHist {
+			want += "_count"
+		}
+		if !lines[want] {
+			t.Errorf("registry metric %q missing from /metrics as %s", name, want)
+		}
+	}
+	if status, _ := get(t, ts, "/debug/vars"); status != http.StatusNotFound {
+		t.Errorf("GET /debug/vars = %d, want 404", status)
 	}
 }
 
@@ -271,18 +285,18 @@ func TestHistogramsAndStats(t *testing.T) {
 	postDecide(t, ts, DecideRequest{Requests: []Query{{Dataset: "Walmart"}}})
 	postRaw(t, ts, []byte("not json")) // one error
 	hists := s.Histograms()
-	total, ok := hists[LatencyHist]
+	total, ok := hists[obs.LatencyHist]
 	if !ok {
 		t.Fatalf("no run-level histogram: %v", hists)
 	}
 	if total.Count != 2 {
 		t.Errorf("run-level count = %d, want 2", total.Count)
 	}
-	decide, ok := hists[LatencyHist+".decide"]
+	decide, ok := hists[obs.LatencyHist+".decide"]
 	if !ok || decide.Count != 2 {
 		t.Errorf("decide histogram = %+v (ok=%v), want count 2", decide, ok)
 	}
-	if _, ok := hists[LatencyHist+".healthz"]; ok {
+	if _, ok := hists[obs.LatencyHist+".healthz"]; ok {
 		t.Error("unserved endpoint leaked an empty histogram into the flush")
 	}
 	reqs, errs := s.Stats()

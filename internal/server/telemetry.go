@@ -20,12 +20,13 @@ import (
 //   - GET /metrics — Prometheus text exposition: cumulative request/error
 //     counters, the in-flight gauge, rolling request/error rates, windowed
 //     latency quantiles (summary) and cumulative latency buckets (histogram)
-//     per endpoint, plus every counter and gauge on the obs.Default
-//     registry.
+//     per endpoint, plus every metric on the obs.Default registry
+//     (Registry.WriteProm, the renderer behind the CLIs' -http /metrics).
 //   - X-Request-ID — every instrumented request carries one: accepted from
-//     the client when present, generated otherwise, echoed in the response,
-//     and threaded through the http_request event so a log line, a trace,
-//     and a client retry all name the same request.
+//     the client when well formed (1..128 visible ASCII bytes), generated
+//     otherwise, echoed in the response, and threaded through the
+//     http_request event so a log line, a trace, and a client retry all
+//     name the same request.
 //   - /debug/slow — a ring of the most recent slow-request exemplars
 //     (requests at or beyond Config.Slow), each carrying its request ID, so
 //     a tail spike on the scrape surface resolves to attributable requests.
@@ -213,7 +214,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Live SLO burn rates over the rolling window. Burn = (bad fraction) /
 	// (error budget): 1.0 spends the budget exactly at the sustainable
 	// rate, 14.4 exhausts a 30-day budget in 2 days (the SRE fast-burn
-	// alarm). `report watch` and `report slo` read these.
+	// alarm). `report watch` prints these on every poll.
 	if s.cfg.SLOAvailability > 0 || (s.cfg.SLOLatencyObjective > 0 && s.cfg.SLOLatencyTarget > 0) {
 		p.Type("advisord_slo_error_budget_burn", "gauge",
 			"Rolling-window error-budget burn rate per SLO (1.0 = sustainable).")
@@ -252,22 +253,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Int("advisord_endpoint_requests_total", []string{"endpoint", ep}, s.hists[ep].Total().Count)
 	}
 
-	// Every scalar on the process-wide registry, under its sanitized name.
-	counters, gauges := obs.Default.Export()
-	writeSorted := func(m map[string]int64, typ string) {
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			pn := "hamlet_" + obs.PromName(name)
-			p.Type(pn, typ, "")
-			p.Int(pn, nil, m[name])
-		}
-	}
-	writeSorted(counters, "counter")
-	writeSorted(gauges, "gauge")
-	// A write error here means the scraper hung up; nothing to answer.
-	_ = p.Err()
+	// Every metric on the process-wide registry, under hamlet_<name>. A
+	// write error means the scraper hung up; nothing is left to answer.
+	obs.Default.WriteProm(p)
 }

@@ -64,6 +64,55 @@ func TestRequestIDGeneratedAndEchoed(t *testing.T) {
 	}
 }
 
+// TestRequestIDRejectsMalformedInbound: an inbound ID is adopted only when
+// it is 1..128 bytes of visible ASCII. Anything else is replaced by a minted
+// ID, so no oversized client value reaches the echo, the logs or the slow
+// ring.
+func TestRequestIDRejectsMalformedInbound(t *testing.T) {
+	cfg := testConfig()
+	cfg.Slow = time.Nanosecond // every request lands in the slow ring
+	_, ts := newTestServer(t, cfg)
+	send := func(id string) string {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+		req.Header.Set(RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.Header.Get(RequestIDHeader)
+	}
+	for name, id := range map[string]string{
+		"900 KB":    strings.Repeat("x", 900<<10),
+		"129 bytes": strings.Repeat("y", 129),
+		"space":     "client id",
+		"tab":       "client\tid",
+	} {
+		if got := send(id); got == id || got == "" || len(got) > 128 {
+			t.Errorf("%s inbound ID: echoed %.40q (len %d), want a minted ID", name, got, len(got))
+		}
+	}
+	exact := strings.Repeat("z", 128)
+	if got := send(exact); got != exact {
+		t.Errorf("128-byte inbound ID not echoed verbatim: got %.40q (len %d)", got, len(got))
+	}
+
+	_, body := get(t, ts, "/debug/slow")
+	var sr SlowResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Slow) != 5 {
+		t.Fatalf("slow ring holds %d exemplars, want 5", len(sr.Slow))
+	}
+	for _, e := range sr.Slow {
+		if len(e.ID) > 128 {
+			t.Errorf("slow ring retained a %d-byte request ID", len(e.ID))
+		}
+	}
+}
+
 func TestRequestIDInEventLog(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := testConfig()
@@ -233,7 +282,6 @@ func TestMetricsExposition(t *testing.T) {
 func TestMetricsRatesMoveUnderTraffic(t *testing.T) {
 	cfg := testConfig()
 	cfg.Window = time.Second // short window so the rate reflects this test's traffic
-	cfg.Windows = 4
 	s, ts := newTestServer(t, cfg)
 	for i := 0; i < 5; i++ {
 		resp, err := http.Get(ts.URL + "/healthz")

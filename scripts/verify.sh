@@ -33,8 +33,9 @@
 #      1, and the identical-run latency diff must exit 0.
 #  10. advisord smoke test: the daemon must come up on an ephemeral port
 #      (with tracing and SLO flags on), answer a loadgen -url round trip,
-#      serve a /metrics exposition with a nonzero request counter and an
-#      SLO burn gauge that `report watch` parses, drain cleanly on SIGTERM
+#      serve a /metrics exposition with a nonzero request counter, an SLO
+#      burn gauge and the metrics registry's hamlet_* series that `report
+#      watch` parses, drain cleanly on SIGTERM
 #      (exit 0), remove its addrfile, and flush a histograms.json that
 #      `report latency` renders.
 #  11. tracing smoke test: the loadgen -url leg runs with -trace-sample 1,
@@ -148,8 +149,9 @@ go run ./cmd/loadgen -url "$advisord_url" \
     -out "$loadgen_dir/client_run" >/dev/null
 
 # Scrape the live /metrics exposition (curl where present, wget otherwise),
-# assert the request counter moved, and let `report watch` parse it end to
-# end — the same surface CI uploads as an artifact.
+# assert the request counter moved and the registry rides along, and let
+# `report watch` parse it end to end — the same surface CI uploads as an
+# artifact.
 if command -v curl >/dev/null 2>&1; then
     curl -fsS "$advisord_url/metrics" >"$loadgen_dir/metrics.prom"
 else
@@ -162,6 +164,10 @@ if [ -z "$requests" ] || [ "$requests" -le 0 ]; then
 fi
 if ! grep -q 'advisord_slo_error_budget_burn' "$loadgen_dir/metrics.prom"; then
     echo "verify: /metrics is missing the SLO burn gauge despite SLO flags" >&2
+    exit 1
+fi
+if ! grep -q '^hamlet_' "$loadgen_dir/metrics.prom"; then
+    echo "verify: /metrics is missing the metrics registry (no hamlet_* series)" >&2
     exit 1
 fi
 go run ./cmd/report watch -count 1 -interval 0s "$advisord_url" >/dev/null
