@@ -4,9 +4,10 @@ package hamlet
 // executes the full runner that regenerates that artifact at the Quick
 // budget — see internal/experiments and EXPERIMENTS.md), plus
 // micro-benchmarks for the substrate operations whose costs drive the
-// paper's runtime results (KFK joins, Naive Bayes fitting, prediction and
-// subset scoring, MI/IGR scoring, greedy selection steps, logistic regression epochs, and
-// the decision rules themselves).
+// paper's runtime results (Monte Carlo world sampling, KFK joins, Naive
+// Bayes fitting, prediction and subset scoring, MI/IGR scoring, greedy
+// selection steps, logistic regression epochs, and the decision rules
+// themselves).
 //
 // Run with:
 //
@@ -90,6 +91,32 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 }
 
 // Substrate micro-benchmarks.
+
+// BenchmarkWorldSample measures one Monte Carlo trial's training draw on its
+// own layer: 1,000 labeled rows redrawn into a reused design, at the
+// montecarlo workload's OneXr point (n_R = 40, FK from the marginal's
+// cumulative table) and a Figure 11 AllXsXr point (FK from the per-majority
+// tables). A trial allocates nothing here.
+func BenchmarkWorldSample(b *testing.B) {
+	for _, sim := range []synth.SimConfig{
+		{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1},
+		{Scenario: synth.AllXsXr, DS: 4, DR: 4, NR: 40, P: 0.1},
+	} {
+		b.Run(sim.Scenario.String(), func(b *testing.B) {
+			w, err := synth.NewWorld(sim, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRNG(2)
+			m := w.Sample(1000, rng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m = w.SampleInto(m, 1000, rng)
+			}
+		})
+	}
+}
 
 func benchWorldDesign(n int) *dataset.Design {
 	w, err := synth.NewWorld(synth.SimConfig{Scenario: synth.OneXr, DS: 4, DR: 4, NR: 100, P: 0.1}, 1)

@@ -21,13 +21,23 @@
 // E = N + (1 − 2N)·(B + (1 − 2B)·V), which tests verify numerically; the
 // reported aggregate quantities (average test error, average bias, average
 // net variance) are the ones plotted in the paper's Figures 3, 10, 11, 13.
+//
+// A trial is one training sample (see RunWorld for its cost). A Naive Bayes
+// trial predicts every model class from one nb.SubsetScorer and builds no
+// Model, so during a Naive Bayes run nb.fits, nb.models_assembled,
+// ml.predict_batches and ml.rows_predicted do not move, nb.stats_builds
+// counts one per trial, and biasvar.models_trained counts one per (trial,
+// model class).
 package biasvar
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"hamlet/internal/dataset"
 	"hamlet/internal/ml"
+	"hamlet/internal/ml/nb"
 	"hamlet/internal/obs"
 	"hamlet/internal/pool"
 	"hamlet/internal/stats"
@@ -228,6 +238,14 @@ func Run(simCfg synth.SimConfig, cfg Config) (map[string]Decomp, error) {
 // draws its training set from an RNG split off rng in trial order before
 // dispatch (after the test set is sampled), so the decomposition is
 // bitwise-identical at every worker count.
+//
+// With the Naive Bayes learner a trial tabulates its training sample once
+// (nb.NewStats) and predicts every model class from one nb.SubsetScorer over
+// the test set, whose predictions equal Fit followed by ml.PredictAll bit
+// for bit; any other learner is fit and applied once per class. Trials
+// recycle their training design and scorer through a pool local to the
+// call, so a world allocates one set per concurrent trial, not one per
+// trial.
 func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.RNG) (map[string]Decomp, error) {
 	test := world.Sample(cfg.NTest, rng)
 	trialRNG := make([]*stats.RNG, cfg.L)
@@ -240,15 +258,30 @@ func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.R
 	for _, mc := range classes {
 		preds[mc.Name] = make([][]int32, cfg.L)
 	}
+	nbl, _ := cfg.Learner.(*nb.Learner)
+	var trials sync.Pool
 	err := pool.Run(cfg.L, cfg.Workers, func(l int) error {
-		train := world.Sample(cfg.NTrain, trialRNG[l])
+		tr, _ := trials.Get().(*trial)
+		if tr == nil {
+			tr = &trial{}
+		}
+		tr.train = world.SampleInto(tr.train, cfg.NTrain, trialRNG[l])
+		if nbl != nil {
+			s := nb.NewStats(tr.train)
+			if tr.scorer == nil {
+				tr.scorer = nb.NewSubsetScorer(s, nbl.Alpha, test)
+			} else {
+				tr.scorer.Reset(s)
+			}
+		}
 		for _, mc := range classes {
-			mod, err := cfg.Learner.Fit(train, mc.Features)
+			p, err := tr.predict(cfg.Learner, mc.Features, test)
 			if err != nil {
 				return fmt.Errorf("biasvar: class %s: %w", mc.Name, err)
 			}
-			preds[mc.Name][l] = ml.PredictAll(mod, test)
+			preds[mc.Name][l] = p
 		}
+		trials.Put(tr)
 		modelsTrained.Add(int64(len(classes)))
 		cfg.Span.Add("models_trained", int64(len(classes)))
 		cfg.Progress.Step(1)
@@ -262,6 +295,31 @@ func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.R
 		out[mc.Name] = decompose(world, test, preds[mc.Name])
 	}
 	return out, nil
+}
+
+// trial is the reusable state of one training sample: its design and, for
+// Naive Bayes, the subset scorer over the world's test set.
+type trial struct {
+	train  *dataset.Design
+	scorer *nb.SubsetScorer
+}
+
+// predict returns the test-set predictions of the model over features
+// trained on tr.train: from the scorer when there is one, else by fitting
+// the learner and applying the model row by row.
+func (tr *trial) predict(l ml.Learner, features []int, test *dataset.Design) ([]int32, error) {
+	if tr.scorer != nil {
+		p, err := tr.scorer.Predict(features)
+		if err != nil {
+			return nil, err
+		}
+		return slices.Clone(p), nil
+	}
+	mod, err := l.Fit(tr.train, features)
+	if err != nil {
+		return nil, err
+	}
+	return ml.PredictAll(mod, test), nil
 }
 
 // decompose computes the pointwise Domingos decomposition and averages it

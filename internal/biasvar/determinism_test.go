@@ -185,3 +185,43 @@ func TestParallelSpanTreeIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// genericNB is Naive Bayes behind a type that is not *nb.Learner, so
+// RunWorld takes its generic Fit + ml.PredictAll path with it.
+type genericNB struct{ *nb.Learner }
+
+// TestNBScorerPathMatchesGenericPath pins RunWorld's Naive Bayes path (one
+// tabulation and one subset scorer per training sample, recycled buffers)
+// to the generic path that fits and predicts every class separately:
+// identical decompositions in every scenario and skew, at serial and
+// parallel worker counts.
+func TestNBScorerPathMatchesGenericPath(t *testing.T) {
+	for _, sc := range []synth.Scenario{synth.OneXr, synth.AllXsXr, synth.XsFkOnly} {
+		for _, sk := range []synth.Skew{synth.NoSkew, synth.ZipfSkew, synth.NeedleThreadSkew} {
+			sim := synth.SimConfig{Scenario: sc, DS: 2, DR: 3, NR: 30, P: 0.1, Skew: sk, ZipfS: 2, NeedleP: 0.5}
+			world, err := synth.NewWorld(sim, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes := StandardClasses(world)
+			for _, workers := range []int{1, 2, 8} {
+				cfg := Config{NTrain: 150, NTest: 60, L: 6, Worlds: 1, Workers: workers}
+				cfg.Learner = nb.New()
+				fast, err := RunWorld(world, classes, cfg, stats.NewRNG(23))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Learner = genericNB{nb.New()}
+				slow, err := RunWorld(world, classes, cfg, stats.NewRNG(23))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mc := range classes {
+					if fast[mc.Name] != slow[mc.Name] {
+						t.Errorf("%v/%v workers=%d %s: scorer path %+v, generic path %+v", sc, sk, workers, mc.Name, fast[mc.Name], slow[mc.Name])
+					}
+				}
+			}
+		}
+	}
+}

@@ -13,11 +13,19 @@
 // never re-counts. This is what makes the paper's Figure 7 runtime
 // comparison tractable; the speedups there are driven by the number of
 // candidate features in play.
+//
+// The bias–variance Monte Carlo (biasvar.RunWorld) makes the same split per
+// trial: one Stats per training sample, and one SubsetScorer over the test
+// design that predicts every model class, rebound to the next sample with
+// Reset. Neither wrapper search nor a Monte Carlo trial builds a Model, so
+// during them nb.fits and nb.models_assembled stay put while nb.stats_builds
+// counts one tabulation per training sample.
 package nb
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hamlet/internal/dataset"
 	"hamlet/internal/ml"
@@ -157,27 +165,27 @@ func checkSubset(s *Stats, features []int, alpha float64) error {
 	return nil
 }
 
-// logPriors returns the smoothed class log-priors log P(Y=c).
-func logPriors(s *Stats, alpha float64) []float64 {
-	out := make([]float64, s.NumClasses)
-	for c := range out {
-		out[c] = math.Log((float64(s.ClassCounts[c]) + alpha) / (float64(s.N) + alpha*float64(s.NumClasses)))
+// logPriors appends the smoothed class log-priors log P(Y=c) to dst.
+func logPriors(dst []float64, s *Stats, alpha float64) []float64 {
+	dst = slices.Grow(dst, s.NumClasses)
+	for c := 0; c < s.NumClasses; c++ {
+		dst = append(dst, math.Log((float64(s.ClassCounts[c])+alpha)/(float64(s.N)+alpha*float64(s.NumClasses))))
 	}
-	return out
+	return dst
 }
 
-// logLikTable returns feature f's smoothed log-likelihood table, laid out
-// like Stats.Counts: tab[c*card_f+v] = log P(x_f = v | Y = c) under
-// add-alpha smoothing. It is the only place the per-value logarithms are
-// taken; prediction is lookups and additions.
-func logLikTable(s *Stats, f int, alpha float64) []float64 {
+// logLikTable appends feature f's smoothed log-likelihood table to dst,
+// laid out like Stats.Counts: tab[c*card_f+v] = log P(x_f = v | Y = c)
+// under add-alpha smoothing. It is the only place the per-value logarithms
+// are taken; prediction is lookups and additions.
+func logLikTable(dst []float64, s *Stats, f int, alpha float64) []float64 {
 	card := s.Cards[f]
-	tab := make([]float64, len(s.Counts[f]))
+	dst = slices.Grow(dst, len(s.Counts[f]))
 	for i, n := range s.Counts[f] {
 		denom := float64(s.ClassCounts[i/card])
-		tab[i] = math.Log((float64(n) + alpha) / (denom + alpha*float64(card)))
+		dst = append(dst, math.Log((float64(n)+alpha)/(denom+alpha*float64(card))))
 	}
-	return tab
+	return dst
 }
 
 // ModelFromStats builds a model over the given feature subset without
@@ -187,10 +195,10 @@ func ModelFromStats(s *Stats, features []int, alpha float64) (*Model, error) {
 		return nil, err
 	}
 	modelAssemblies.Inc()
-	mod := &Model{stats: s, Features: features, Alpha: alpha, logPrior: logPriors(s, alpha)}
+	mod := &Model{stats: s, Features: features, Alpha: alpha, logPrior: logPriors(nil, s, alpha)}
 	mod.logLik = make([][]float64, len(features))
 	for i, f := range features {
-		mod.logLik[i] = logLikTable(s, f, alpha)
+		mod.logLik[i] = logLikTable(nil, s, f, alpha)
 	}
 	return mod, nil
 }

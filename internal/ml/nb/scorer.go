@@ -28,7 +28,10 @@ type SubsetScorer struct {
 	alpha    float64
 	m        *dataset.Design
 	logPrior []float64
-	logLik   [][]float64 // per feature; nil until first used
+	// logLik[f] is feature f's log-likelihood table, valid once built[f]
+	// is set; Reset clears built and the tables are rebuilt in place.
+	logLik [][]float64
+	built  []bool
 
 	// last and prefix are the subsets whose class scores are kept in
 	// lastScores and prefixScores, laid out [c*rows+row]. hasPrefix is
@@ -49,23 +52,38 @@ type SubsetScorer struct {
 func NewSubsetScorer(s *Stats, alpha float64, m *dataset.Design) *SubsetScorer {
 	n := m.NumRows()
 	sc := &SubsetScorer{
-		stats:        s,
-		alpha:        alpha,
-		m:            m,
-		logPrior:     logPriors(s, alpha),
-		logLik:       make([][]float64, len(s.Counts)),
-		lastScores:   make([]float64, s.NumClasses*n),
-		prefixScores: make([]float64, s.NumClasses*n),
-		best:         make([]float64, n),
-		pred:         make([]int32, n),
+		alpha: alpha,
+		m:     m,
+		best:  make([]float64, n),
+		pred:  make([]int32, n),
 	}
+	sc.Reset(s)
 	return sc
+}
+
+// Reset points the scorer at s, typically the statistics of the next
+// training sample over the same columns, and forgets every kept score and
+// table. Afterwards it predicts exactly as NewSubsetScorer(s, alpha, m)
+// would, reusing its buffers wherever s's shape allows.
+func (sc *SubsetScorer) Reset(s *Stats) {
+	n := len(sc.pred)
+	sc.stats = s
+	sc.logPrior = logPriors(sc.logPrior[:0], s, sc.alpha)
+	if len(sc.logLik) != len(s.Counts) {
+		sc.logLik = make([][]float64, len(s.Counts))
+		sc.built = make([]bool, len(s.Counts))
+	}
+	clear(sc.built)
+	sc.lastScores = resize(sc.lastScores, s.NumClasses*n)
+	sc.prefixScores = resize(sc.prefixScores, s.NumClasses*n)
+	sc.hasLast, sc.hasPrefix = false, false
 }
 
 // table returns feature f's log-likelihood table, building it once.
 func (sc *SubsetScorer) table(f int) []float64 {
-	if sc.logLik[f] == nil {
-		sc.logLik[f] = logLikTable(sc.stats, f, sc.alpha)
+	if !sc.built[f] {
+		sc.logLik[f] = logLikTable(sc.logLik[f][:0], sc.stats, f, sc.alpha)
+		sc.built[f] = true
 	}
 	return sc.logLik[f]
 }
@@ -167,6 +185,14 @@ func (sc *SubsetScorer) extend(f int) {
 			}
 		}
 	}
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // fill sets every element of buf to v.

@@ -262,3 +262,39 @@ func TestScorerTiesPickFirstClass(t *testing.T) {
 		}
 	}
 }
+
+// TestScorerResetMatchesFreshScorer rebinds one scorer to the statistics of
+// successive training designs over the same columns, including ones with
+// more and fewer classes, and checks every prediction against a fresh
+// scorer's and the oracle's: Reset must forget every kept score and table.
+func TestScorerResetMatchesFreshScorer(t *testing.T) {
+	cards := []int{3, 1, 40, 2}
+	r := stats.NewRNG(7)
+	val := randomDesign(r, 90, 3, cards)
+	subsets := [][]int{{0, 2}, {0, 2, 3}, {0, 2, 1}, nil, {3, 0}, {2}}
+	var sc *SubsetScorer
+	for round, classes := range []int{2, 2, 3, 2, 5, 3} {
+		s := NewStats(randomDesign(r, 200, classes, cards))
+		if sc == nil {
+			sc = NewSubsetScorer(s, 1, val)
+		} else {
+			sc.Reset(s)
+		}
+		fresh := NewSubsetScorer(s, 1, val)
+		for _, subset := range subsets {
+			got, err := sc.Predict(subset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Predict(subset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for row := range want {
+				if got[row] != want[row] || got[row] != referencePredict(s, subset, 1, val, row) {
+					t.Fatalf("round %d (%d classes) subset %v row %d: reset scorer %d, fresh scorer %d", round, classes, subset, row, got[row], want[row])
+				}
+			}
+		}
+	}
+}

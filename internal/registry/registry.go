@@ -55,7 +55,9 @@ type key struct {
 
 // Registry caches generated datasets keyed by (name, scale, seed).
 // Concurrent Get calls for the same key generate once: the loser of the
-// insertion race waits on the winner's result.
+// insertion race waits on the winner's result. Only successful builds are
+// cached; a failed build is shared by the callers already waiting on it and
+// then forgotten, so the next Get of that key retries.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[key]*entrySlot
@@ -91,7 +93,8 @@ func Names() []string {
 
 // Get returns the cached entry for the named mimic at the given scale and
 // seed, generating the dataset and collecting its sufficient statistics on
-// first use.
+// first use. A failed build is not cached: its slot leaves the map, so
+// failing keys take no room and a transient failure is retried.
 func (r *Registry) Get(name string, scale float64, seed uint64) (*Entry, error) {
 	k := key{name, scale, seed}
 	r.mu.Lock()
@@ -103,6 +106,15 @@ func (r *Registry) Get(name string, scale float64, seed uint64) (*Entry, error) 
 	r.mu.Unlock()
 	slot.once.Do(func() {
 		slot.entry, slot.err = build(name, scale, seed)
+		if slot.err != nil {
+			// Callers holding this slot still share its error; only a
+			// slot still in the map goes, never one that replaced it.
+			r.mu.Lock()
+			if r.entries[k] == slot {
+				delete(r.entries, k)
+			}
+			r.mu.Unlock()
+		}
 		slot.done.Store(true)
 	})
 	return slot.entry, slot.err
@@ -110,8 +122,8 @@ func (r *Registry) Get(name string, scale float64, seed uint64) (*Entry, error) 
 
 // Len reports how many datasets are resolved in the registry: entries whose
 // generation and statistics scan completed successfully. In-flight builds
-// and failed Gets do not count. The registry never evicts, so Len is
-// monotone over a server's lifetime.
+// and failed Gets do not count. The registry never evicts a resolved
+// entry, so Len is monotone over a server's lifetime.
 func (r *Registry) Len() int { return len(r.Keys()) }
 
 // Keys enumerates the resolved datasets as (name, scale, seed) keys, sorted

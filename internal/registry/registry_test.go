@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -154,6 +156,88 @@ func TestKeysDoesNotBlockOnInFlightBuild(t *testing.T) {
 		t.Fatal("Keys blocked behind an in-flight build")
 	}
 	close(release)
+}
+
+// TestFailedGetsAreNotCached pins the no-failure-caching contract: distinct
+// failing keys leave nothing behind, and a failing key is built again on
+// the next Get rather than answered from a cached error.
+func TestFailedGetsAreNotCached(t *testing.T) {
+	r := New()
+	for i := 0; i < 1000; i++ {
+		if _, err := r.Get(fmt.Sprintf("NoSuchDataset%d", i), 0.02, uint64(i)); err == nil {
+			t.Fatalf("Get %d of an unknown dataset did not error", i)
+		}
+	}
+	if n := len(r.entries); n != 0 {
+		t.Fatalf("1000 failed Gets left %d slots in the map, want 0", n)
+	}
+	if _, err := r.Get("Walmart", 0.02, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Get("NoSuchDataset", 0.02, 1); err == nil {
+		t.Fatal("unknown dataset did not error")
+	}
+	if n := len(r.entries); n != 1 {
+		t.Fatalf("entries = %d after one success and one failure, want 1", n)
+	}
+}
+
+// TestConcurrentFailingGetsAllError runs many concurrent Gets of one failing
+// key: every caller, whether it shared a build or started a fresh one after
+// the failed slot left the map, must see the error, and none may leave a
+// slot behind.
+func TestConcurrentFailingGetsAllError(t *testing.T) {
+	r := New()
+	const callers = 64
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = r.Get("NoSuchDataset", 0.02, 1)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("caller %d: failing key returned no error", i)
+		}
+	}
+	if n := len(r.entries); n != 0 {
+		t.Fatalf("concurrent failed Gets left %d slots in the map, want 0", n)
+	}
+
+	// Callers that find a build in flight share its outcome: with a
+	// hand-planted slot whose build fails with a sentinel, every Get
+	// returns that sentinel, never an error of a build of its own.
+	shared := errors.New("planted build failure")
+	slot := &entrySlot{}
+	r.mu.Lock()
+	r.entries[key{name: "NoSuchDataset", scale: 0.02, seed: 1}] = slot
+	r.mu.Unlock()
+	release, started := make(chan struct{}), make(chan struct{})
+	go slot.once.Do(func() {
+		close(started)
+		<-release
+		slot.err = shared
+		slot.done.Store(true)
+	})
+	<-started
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = r.Get("NoSuchDataset", 0.02, 1)
+		}(i)
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, shared) {
+			t.Fatalf("caller %d: got %v, want the shared in-flight build's error", i, err)
+		}
+	}
 }
 
 func TestAddCachesLoadedDataset(t *testing.T) {

@@ -31,34 +31,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Categorical samples an index from the (not necessarily normalized)
-// nonnegative weight vector. It panics if the weights are empty or sum to a
-// nonpositive value: callers construct these vectors and an invalid one is a
-// programming error, not a data error.
-func (r *RNG) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("stats: Categorical requires a nonempty weight vector with positive mass")
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Perm fills and returns a permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -69,12 +41,76 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Zipf returns a sampler over [0, n) with Zipfian probabilities
-// P(i) ∝ 1/(i+1)^s. The paper's Appendix D uses this as the "benign skew"
-// distribution for foreign keys. The cumulative weights are precomputed so
-// sampling is O(log n).
-type Zipf struct {
+// Categorical samples indices of a fixed, not necessarily normalized,
+// nonnegative weight vector. It keeps the cumulative weights, so a draw is
+// one Float64 and a binary search: O(log n) instead of a pass over the
+// weights. Index i carries mass weights[i] when positive and is never drawn
+// otherwise.
+//
+// A draw scales u = Float64() by the total mass and returns the first index
+// whose cumulative weight exceeds u. That is exactly the index a linear scan
+// accumulating the positive weights in order returns for the same u, since
+// the cumulative table holds the scan's partial sums and the total is its
+// last one.
+type Categorical struct {
 	cum []float64
+}
+
+// NewCategorical builds a sampler over [0, len(weights)). It panics if the
+// weights are empty or their positive mass is not a positive finite number:
+// callers construct these vectors and an invalid one is a programming error,
+// not a data error.
+func NewCategorical(weights []float64) *Categorical {
+	cum := make([]float64, len(weights))
+	acc := 0.0
+	for i, w := range weights {
+		if w > 0 {
+			acc += w
+		}
+		cum[i] = acc
+	}
+	if len(weights) == 0 || !(acc > 0) || math.IsInf(acc, 1) {
+		panic("stats: Categorical requires a nonempty weight vector with positive finite mass")
+	}
+	return &Categorical{cum: cum}
+}
+
+// Sample draws one index, consuming one Float64 from r.
+func (c *Categorical) Sample(r *RNG) int {
+	u := r.Float64() * c.cum[len(c.cum)-1]
+	// Binary search for the first cumulative weight above u, without
+	// branches: a draw's comparisons are coin flips that a branch predictor
+	// gets wrong half the time. u and every cum[i] are nonnegative, so
+	// their IEEE bit patterns order as int64s and the difference cannot
+	// overflow: its sign bit is set exactly when u < cum[i].
+	ub := int64(math.Float64bits(u))
+	base, n := 0, len(c.cum)
+	for n > 1 {
+		half := n >> 1
+		le := ^((ub - int64(math.Float64bits(c.cum[base+half-1]))) >> 63) // all ones when cum <= u
+		base += half & int(le)
+		n -= half
+	}
+	return base
+}
+
+// Probs returns the normalized probability vector of the sampler.
+func (c *Categorical) Probs() []float64 {
+	total := c.cum[len(c.cum)-1]
+	p := make([]float64, len(c.cum))
+	prev := 0.0
+	for i, x := range c.cum {
+		p[i] = (x - prev) / total
+		prev = x
+	}
+	return p
+}
+
+// Zipf is a sampler over [0, n) with Zipfian probabilities
+// P(i) ∝ 1/(i+1)^s. The paper's Appendix D uses this as the "benign skew"
+// distribution for foreign keys.
+type Zipf struct {
+	*Categorical
 }
 
 // NewZipf constructs a Zipf sampler over n categories with skew parameter s.
@@ -84,41 +120,11 @@ func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("stats: NewZipf requires n > 0")
 	}
-	cum := make([]float64, n)
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += 1.0 / pow(float64(i+1), s)
-		cum[i] = acc
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1.0 / pow(float64(i+1), s)
 	}
-	return &Zipf{cum: cum}
-}
-
-// Probs returns the normalized probability vector of the sampler.
-func (z *Zipf) Probs() []float64 {
-	n := len(z.cum)
-	total := z.cum[n-1]
-	p := make([]float64, n)
-	prev := 0.0
-	for i, c := range z.cum {
-		p[i] = (c - prev) / total
-		prev = c
-	}
-	return p
-}
-
-// Sample draws one category index.
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64() * z.cum[len(z.cum)-1]
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return &Zipf{NewCategorical(w)}
 }
 
 // pow wraps math.Pow with fast paths for the common exponents used by the

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -59,10 +61,10 @@ func TestBernoulliFrequency(t *testing.T) {
 
 func TestCategoricalRespectsWeights(t *testing.T) {
 	r := NewRNG(5)
-	w := []float64{1, 0, 3}
+	c := NewCategorical([]float64{1, 0, 3})
 	counts := make([]int, 3)
 	for i := 0; i < 40000; i++ {
-		counts[r.Categorical(w)]++
+		counts[c.Sample(r)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("zero-weight category sampled %d times", counts[1])
@@ -74,16 +76,107 @@ func TestCategoricalRespectsWeights(t *testing.T) {
 }
 
 func TestCategoricalPanicsOnInvalid(t *testing.T) {
-	r := NewRNG(1)
-	for _, w := range [][]float64{nil, {}, {0, 0}, {-1, -2}} {
+	for _, w := range [][]float64{nil, {}, {0, 0}, {-1, -2}, {1, math.Inf(1)}, {math.NaN()}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Categorical(%v) did not panic", w)
+					t.Fatalf("NewCategorical(%v) did not panic", w)
 				}
 			}()
-			r.Categorical(w)
+			NewCategorical(w)
 		}()
+	}
+}
+
+// linearScan is the reference draw the cumulative table replaces: scale one
+// Float64 by the positive mass, then walk the weights accumulating it and
+// return the first positive-weight index whose running sum exceeds the
+// draw.
+func linearScan(r *RNG, weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	u := r.Float64() * total
+	acc := 0.0
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// replay is a rand.Source that returns one word forever.
+type replay uint64
+
+func (r replay) Uint64() uint64 { return uint64(r) }
+
+// TestCategoricalMatchesLinearScan pins the cumulative-table draw to the
+// linear scan draw for draw: the same index from the same stream, and the
+// stream left in the same state (the next Uint64 agrees after every draw).
+func TestCategoricalMatchesLinearScan(t *testing.T) {
+	uniform := make([]float64, 40)
+	for i := range uniform {
+		uniform[i] = 1
+	}
+	cases := map[string][]float64{
+		"zeros-at-start":   {0, 0, 0, 1, 2, 3},
+		"zeros-in-middle":  {1, 0, 0, 2, 0, 3},
+		"zeros-at-end":     {1, 2, 3, 0, 0, 0},
+		"negative-weights": {-1, 2, -3, 0, 4},
+		"single-positive":  {0, 0, 5, 0},
+		"singleton":        {0.25},
+		"uniform":          uniform,
+		"zipf-40-2":        NewZipf(40, 2).Probs(),
+		"needle-0.5":       NeedleAndThread{N: 40, NeedleProb: 0.5}.Probs(),
+		"needle-0.8":       NeedleAndThread{N: 40, NeedleProb: 0.8}.Probs(),
+	}
+	gen := NewRNG(77)
+	for v := 0; v < 8; v++ {
+		w := make([]float64, 1+gen.IntN(60))
+		for i := range w {
+			switch gen.IntN(4) {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = gen.Float64() * 1e-9
+			default:
+				w[i] = gen.Float64() * 10
+			}
+		}
+		w[gen.IntN(len(w))] = 1 + gen.Float64()
+		cases[fmt.Sprintf("random-%d", v)] = w
+	}
+	// Random draws almost never land on a cumulative boundary, so replay
+	// every u = k exactly over integer weights with total 8 as well.
+	ties := []float64{1, 0, 1, 2, 0, 4, 0}
+	for k := uint64(0); k < 8; k++ {
+		// Float64 is the low 53 bits of a word over 2^53: k<<50 gives k/8.
+		got, want := &RNG{rand.New(replay(k << 50))}, &RNG{rand.New(replay(k << 50))}
+		if i, j := NewCategorical(ties).Sample(got), linearScan(want, ties); i != j {
+			t.Fatalf("tie u=%d: Sample = %d, linear scan = %d", k, i, j)
+		}
+	}
+	for name, w := range cases {
+		c := NewCategorical(w)
+		for seed := uint64(1); seed <= 4; seed++ {
+			got, want := NewRNG(seed), NewRNG(seed)
+			for d := 0; d < 3000; d++ {
+				if i, j := c.Sample(got), linearScan(want, w); i != j {
+					t.Fatalf("%s seed %d draw %d: Sample = %d, linear scan = %d", name, seed, d, i, j)
+				}
+				if a, b := got.Uint64(), want.Uint64(); a != b {
+					t.Fatalf("%s seed %d draw %d: streams diverged after the draw", name, seed, d)
+				}
+			}
+		}
 	}
 }
 

@@ -127,10 +127,14 @@ type World struct {
 	majority []int32
 	// ridLabel[rid] is the latent per-RID label bit used by XsFkOnly.
 	ridLabel []int32
-	// fkWeights is the FK marginal (unnormalized).
-	fkWeights []float64
+	// fk draws FK from its marginal.
+	fk *stats.Categorical
 	// votersByBit[b] lists RIDs whose majority equals b (AllXsXr).
 	votersByBit [2][]int
+	// voterFK[b] draws an index into votersByBit[b] from the FK marginal
+	// restricted to those RIDs; nil when that restriction has no mass, in
+	// which case the draw is uniform (AllXsXr).
+	voterFK [2]*stats.Categorical
 }
 
 // NewWorld realizes a world from the configuration and seed. The attribute
@@ -180,18 +184,33 @@ func NewWorld(cfg SimConfig, seed uint64) (*World, error) {
 	for rid := range w.R {
 		w.votersByBit[w.majority[rid]] = append(w.votersByBit[w.majority[rid]], rid)
 	}
+	var fkWeights []float64
 	switch cfg.Skew {
 	case NoSkew:
-		w.fkWeights = make([]float64, cfg.NR)
-		for i := range w.fkWeights {
-			w.fkWeights[i] = 1
+		fkWeights = make([]float64, cfg.NR)
+		for i := range fkWeights {
+			fkWeights[i] = 1
 		}
 	case ZipfSkew:
-		w.fkWeights = stats.NewZipf(cfg.NR, cfg.ZipfS).Probs()
+		fkWeights = stats.NewZipf(cfg.NR, cfg.ZipfS).Probs()
 	case NeedleThreadSkew:
-		w.fkWeights = stats.NeedleAndThread{N: cfg.NR, NeedleProb: cfg.NeedleP}.Probs()
+		fkWeights = stats.NeedleAndThread{N: cfg.NR, NeedleProb: cfg.NeedleP}.Probs()
 	default:
 		return nil, fmt.Errorf("synth: unknown skew %d", cfg.Skew)
+	}
+	// The cumulative tables are built once here; every draw is then one
+	// Float64 and a binary search.
+	w.fk = stats.NewCategorical(fkWeights)
+	for b, voters := range w.votersByBit {
+		weights := make([]float64, len(voters))
+		total := 0.0
+		for i, rid := range voters {
+			weights[i] = fkWeights[rid]
+			total += weights[i]
+		}
+		if total > 0 {
+			w.voterFK[b] = stats.NewCategorical(weights)
+		}
 	}
 	return w, nil
 }
@@ -234,7 +253,7 @@ func (w *World) sampleLabelAndFK(rng *stats.RNG) (y int32, fk int) {
 	cfg := w.Cfg
 	switch cfg.Scenario {
 	case OneXr:
-		fk = rng.Categorical(w.fkWeights)
+		fk = w.fk.Sample(rng)
 		xr := w.R[fk][0]
 		// P(Y=0|X_r=0) = P(Y=1|X_r=1) = p.
 		if xr == 0 {
@@ -259,21 +278,13 @@ func (w *World) sampleLabelAndFK(rng *stats.RNG) (y int32, fk int) {
 		// Draw FK from the RIDs whose majority vote equals target,
 		// weighted by the FK marginal restricted to that set.
 		voters := w.votersByBit[target]
-		weights := make([]float64, len(voters))
-		for i, rid := range voters {
-			weights[i] = w.fkWeights[rid]
-		}
-		total := 0.0
-		for _, wt := range weights {
-			total += wt
-		}
-		if total == 0 {
-			fk = voters[rng.IntN(len(voters))]
+		if cat := w.voterFK[target]; cat != nil {
+			fk = voters[cat.Sample(rng)]
 		} else {
-			fk = voters[rng.Categorical(weights)]
+			fk = voters[rng.IntN(len(voters))]
 		}
 	case XsFkOnly:
-		fk = rng.Categorical(w.fkWeights)
+		fk = w.fk.Sample(rng)
 		y = w.ridLabel[fk]
 		if rng.Bernoulli(cfg.P) {
 			y = 1 - y
@@ -285,43 +296,59 @@ func (w *World) sampleLabelAndFK(rng *stats.RNG) (y int32, fk int) {
 // Sample draws n i.i.d. labeled examples and materializes them as a design
 // matrix with the FeatureLayout column order.
 func (w *World) Sample(n int, rng *stats.RNG) *dataset.Design {
+	return w.SampleInto(nil, n, rng)
+}
+
+// SampleInto is Sample drawing into m's storage: when m came from an earlier
+// Sample or SampleInto of this world with the same n, every cell of m is
+// overwritten in place and m is returned; otherwise (m nil, or another
+// shape) a new design is allocated. Either way it consumes rng exactly as
+// Sample(n, rng) does, and the result equals Sample's. A Monte Carlo trial
+// loop uses it to redraw one training design per trial without allocating.
+func (w *World) SampleInto(m *dataset.Design, n int, rng *stats.RNG) *dataset.Design {
 	cfg := w.Cfg
-	m := &dataset.Design{NumClasses: 2, Y: make([]int32, n)}
-	xsData := make([][]int32, cfg.DS)
-	for j := range xsData {
-		xsData[j] = make([]int32, n)
+	if m == nil || len(m.Y) != n || len(m.Features) != cfg.DS+1+cfg.DR || m.Features[cfg.DS].Card != cfg.NR {
+		m = w.newDesign(n)
 	}
-	fkData := make([]int32, n)
-	xrData := make([][]int32, cfg.DR)
-	for j := range xrData {
-		xrData[j] = make([]int32, n)
-	}
+	// Columns follow the FeatureLayout: X_S in [0, DS), FK at DS, X_R
+	// after it.
+	xs, fk, xr := m.Features[:cfg.DS], m.Features[cfg.DS].Data[:n], m.Features[cfg.DS+1:]
+	// X_S cells either echo Y through a p-noisy channel or are fair coins;
+	// the branch is per world, not per cell.
+	xsEchoY := cfg.Scenario == AllXsXr || cfg.Scenario == XsFkOnly
 	for i := 0; i < n; i++ {
-		y, fk := w.sampleLabelAndFK(rng)
+		y, rid := w.sampleLabelAndFK(rng)
 		m.Y[i] = y
-		fkData[i] = int32(fk)
-		for j := range xrData {
-			xrData[j][i] = w.R[fk][j]
+		fk[i] = int32(rid)
+		for j, v := range w.R[rid] {
+			xr[j].Data[i] = v
 		}
-		for j := range xsData {
-			switch cfg.Scenario {
-			case AllXsXr, XsFkOnly:
+		for j := range xs {
+			if xsEchoY {
 				v := y
 				if rng.Bernoulli(cfg.P) {
 					v = 1 - v
 				}
-				xsData[j][i] = v
-			default:
-				xsData[j][i] = int32(rng.IntN(2))
+				xs[j].Data[i] = v
+			} else {
+				xs[j].Data[i] = int32(rng.IntN(2))
 			}
 		}
 	}
-	for j := range xsData {
-		m.Features = append(m.Features, dataset.Feature{Name: fmt.Sprintf("XS%d", j), Card: 2, Data: xsData[j], Source: "S"})
+	return m
+}
+
+// newDesign allocates an n-row design with the FeatureLayout columns.
+func (w *World) newDesign(n int) *dataset.Design {
+	cfg := w.Cfg
+	m := &dataset.Design{NumClasses: 2, Y: make([]int32, n)}
+	m.Features = make([]dataset.Feature, 0, cfg.DS+1+cfg.DR)
+	for j := 0; j < cfg.DS; j++ {
+		m.Features = append(m.Features, dataset.Feature{Name: fmt.Sprintf("XS%d", j), Card: 2, Data: make([]int32, n), Source: "S"})
 	}
-	m.Features = append(m.Features, dataset.Feature{Name: "FK", Card: cfg.NR, Data: fkData, Source: "S", IsFK: true})
-	for j := range xrData {
-		m.Features = append(m.Features, dataset.Feature{Name: fmt.Sprintf("XR%d", j), Card: 2, Data: xrData[j], Source: "R"})
+	m.Features = append(m.Features, dataset.Feature{Name: "FK", Card: cfg.NR, Data: make([]int32, n), Source: "S", IsFK: true})
+	for j := 0; j < cfg.DR; j++ {
+		m.Features = append(m.Features, dataset.Feature{Name: fmt.Sprintf("XR%d", j), Card: 2, Data: make([]int32, n), Source: "R"})
 	}
 	return m
 }
@@ -332,8 +359,9 @@ func (w *World) Sample(n int, rng *stats.RNG) *dataset.Design {
 // harness uses this for exact noise and optimal predictions.
 func (w *World) TrueConditional(m *dataset.Design, i int) float64 {
 	cfg := w.Cfg
-	_, fkIdx, _ := w.FeatureLayout()
-	fk := int(m.Features[fkIdx].Data[i])
+	// FK sits at column DS of the FeatureLayout; reading it directly keeps
+	// this per-test-row call allocation-free.
+	fk := int(m.Features[cfg.DS].Data[i])
 	switch cfg.Scenario {
 	case OneXr:
 		if w.R[fk][0] == 0 {
@@ -356,7 +384,6 @@ func (w *World) TrueConditional(m *dataset.Design, i int) float64 {
 // feature agrees with Y w.p. 1−p, and Y is a fair coin.
 func (w *World) posteriorFromAgreements(m *dataset.Design, i int, bit int32) float64 {
 	cfg := w.Cfg
-	xs, _, _ := w.FeatureLayout()
 	like := func(y int32) float64 {
 		l := 1.0
 		if bit == y {
@@ -364,7 +391,8 @@ func (w *World) posteriorFromAgreements(m *dataset.Design, i int, bit int32) flo
 		} else {
 			l *= cfg.P
 		}
-		for _, j := range xs {
+		// X_S occupies columns [0, DS) of the FeatureLayout.
+		for j := 0; j < cfg.DS; j++ {
 			if m.Features[j].Data[i] == y {
 				l *= 1 - cfg.P
 			} else {

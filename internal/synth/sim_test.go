@@ -1,9 +1,12 @@
 package synth
 
 import (
+	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
+	"hamlet/internal/dataset"
 	"hamlet/internal/relational"
 	"hamlet/internal/stats"
 )
@@ -303,6 +306,104 @@ func TestWorldDeterminism(t *testing.T) {
 	for i := range ma.Y {
 		if ma.Y[i] != mb.Y[i] {
 			t.Fatal("same-seed samples differ")
+		}
+	}
+}
+
+// digestDesign hashes a design's labels, cardinalities and cells.
+func digestDesign(m *dataset.Design) uint64 {
+	h := fnv.New64a()
+	put := func(v int32) {
+		h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	}
+	for _, y := range m.Y {
+		put(y)
+	}
+	for _, f := range m.Features {
+		put(int32(f.Card))
+		for _, v := range f.Data {
+			put(v)
+		}
+	}
+	return h.Sum64()
+}
+
+// sampleCases covers every scenario under every FK skew.
+func sampleCases() []SimConfig {
+	var out []SimConfig
+	for _, sc := range []Scenario{OneXr, AllXsXr, XsFkOnly} {
+		for _, sk := range []Skew{NoSkew, ZipfSkew, NeedleThreadSkew} {
+			out = append(out, SimConfig{Scenario: sc, DS: 3, DR: 4, NR: 40, P: 0.1, Skew: sk, ZipfS: 2, NeedleP: 0.5})
+		}
+	}
+	return out
+}
+
+// TestSampleDigestsPinned pins sampled designs to digests recorded when FK
+// was drawn by a linear scan over the weights: the cumulative tables must
+// draw the same rows from the same stream, in every scenario and skew.
+func TestSampleDigestsPinned(t *testing.T) {
+	want := []uint64{
+		0x9425a9d687d387eb, 0xfaf2905c720d0a80, 0x1078f0e13cc78702, // OneXr
+		0xbae85b3b672397aa, 0xdaa6193b26150ffb, 0x61fc6187e6226276, // AllXsXr
+		0x97ad34eafdaec76b, 0x60e096a79e1ca881, 0x597d8b063df3d452, // XsFkOnly
+	}
+	for i, cfg := range sampleCases() {
+		w := mustWorld(t, cfg, 11)
+		if got := digestDesign(w.Sample(300, stats.NewRNG(5))); got != want[i] {
+			t.Errorf("%v/%v: sample digest %#016x, want %#016x", cfg.Scenario, cfg.Skew, got, want[i])
+		}
+	}
+}
+
+// TestSampleIntoMatchesSample checks that redrawing into a reused design
+// gives Sample's design, leaves the stream where Sample leaves it, and
+// allocates nothing; a nil or mis-shaped design gets a fresh one.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	for _, cfg := range sampleCases() {
+		w := mustWorld(t, cfg, 11)
+		buf := w.Sample(200, stats.NewRNG(1))
+		for seed := uint64(2); seed < 5; seed++ {
+			want, wantRNG := w.Sample(200, stats.NewRNG(seed)), stats.NewRNG(seed)
+			w.Sample(200, wantRNG)
+			gotRNG := stats.NewRNG(seed)
+			if got := w.SampleInto(buf, 200, gotRNG); got != buf {
+				t.Fatalf("%v/%v: SampleInto did not reuse a same-shape design", cfg.Scenario, cfg.Skew)
+			}
+			if !reflect.DeepEqual(buf, want) {
+				t.Fatalf("%v/%v seed %d: SampleInto differs from Sample", cfg.Scenario, cfg.Skew, seed)
+			}
+			if gotRNG.Uint64() != wantRNG.Uint64() {
+				t.Fatalf("%v/%v seed %d: SampleInto left the stream elsewhere than Sample", cfg.Scenario, cfg.Skew, seed)
+			}
+		}
+		rng := stats.NewRNG(9)
+		if allocs := testing.AllocsPerRun(10, func() { w.SampleInto(buf, 200, rng) }); allocs != 0 {
+			t.Errorf("%v/%v: SampleInto into a reused design allocates %v times", cfg.Scenario, cfg.Skew, allocs)
+		}
+		for name, other := range map[string]*dataset.Design{"nil": nil, "100-row": w.Sample(100, stats.NewRNG(1))} {
+			if got := w.SampleInto(other, 200, stats.NewRNG(3)); got == other || !reflect.DeepEqual(got, w.Sample(200, stats.NewRNG(3))) {
+				t.Fatalf("%v/%v: SampleInto into a %s design did not return a fresh Sample", cfg.Scenario, cfg.Skew, name)
+			}
+		}
+	}
+}
+
+// TestTrueConditionalAllocFree pins the per-test-row call of the
+// bias–variance decomposition to zero allocations in every scenario.
+func TestTrueConditionalAllocFree(t *testing.T) {
+	for _, sc := range []Scenario{OneXr, AllXsXr, XsFkOnly} {
+		cfg := baseCfg()
+		cfg.Scenario = sc
+		w := mustWorld(t, cfg, 4)
+		m := w.Sample(50, stats.NewRNG(6))
+		row := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			w.TrueConditional(m, row%50)
+			row++
+		})
+		if allocs != 0 {
+			t.Errorf("%v: TrueConditional allocates %v times per call", sc, allocs)
 		}
 	}
 }
