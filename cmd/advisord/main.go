@@ -18,7 +18,8 @@
 //	                                          # (errors + -slow always kept) into
 //	                                          # traces.jsonl
 //	advisord -slo-availability 0.999 \
-//	         -slo-latency-objective 1ms       # live error-budget burn on /metrics
+//	         -slo-latency-objective 1ms       # error budget spent since start
+//	                                          # on /metrics
 //
 // Endpoints (see internal/server for the schema):
 //
@@ -26,9 +27,10 @@
 //	GET  /v1/datasets   the catalog + what is loaded
 //	GET  /healthz       liveness
 //	GET  /readyz        readiness (503 until preload finishes / while draining)
-//	GET  /metrics       Prometheus text exposition: counters, rolling rates,
-//	                    windowed latency quantiles, latency buckets, and the
-//	                    metrics registry (`report watch` reads this)
+//	GET  /metrics       Prometheus text exposition, cumulative since start:
+//	                    counters, latency buckets, SLO budget spent, and the
+//	                    metrics registry (`report watch` derives per-poll
+//	                    rate, p50/p99 and burn from consecutive scrapes)
 //	GET  /debug/slow    recent slow-request exemplars (requests over -slow)
 //	GET  /debug/pprof/  runtime profiling
 //
@@ -78,11 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown deadline for in-flight requests")
 		outDir    = fs.String("out", "", "write run artifacts (manifest, request-log events, metrics, trace, histograms.json) to this directory")
 		slow      = fs.Duration("slow", 10*time.Millisecond, "slow-request threshold: log + retain exemplars on /debug/slow (0 disables)")
-		window    = fs.Duration("window", obs.DefaultWindow, "rolling-metrics window length for /metrics rates and quantiles")
 		sample    = fs.Float64("trace-sample", 0, "distributed-trace head-sampling probability in [0,1] for requests arriving without a traceparent (0 = tracing off)")
 		traceCap  = fs.Float64("trace-cap", 100, "max kept traces per second (0 = uncapped); errors and -slow requests are always kept, within the cap")
-		sloAvail  = fs.Float64("slo-availability", 0, "availability SLO target in (0,1), e.g. 0.999; exposes the live error-budget burn rate on /metrics (0 disables)")
-		sloLatObj = fs.Duration("slo-latency-objective", 0, "latency SLO objective, e.g. 1ms (0 disables the latency burn gauge)")
+		sloAvail  = fs.Float64("slo-availability", 0, "availability SLO target in (0,1), e.g. 0.999; exposes the target and the error budget spent since start on /metrics (0 disables)")
+		sloLatObj = fs.Duration("slo-latency-objective", 0, "latency SLO objective, e.g. 1ms; exposes it and the latency error budget spent since start on /metrics (0 disables)")
 		sloLatTgt = fs.Float64("slo-latency-target", 0.99, "fraction of requests required within -slo-latency-objective")
 		prof      obs.ProfileFlags
 	)
@@ -112,8 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "advisord: -slow must be non-negative (0 disables slow-request capture)")
 		return 2
 	}
-	if *window <= 0 {
-		fmt.Fprintln(stderr, "advisord: -window must be positive")
+	if *precision < 0 || *precision > obs.MaxPrecision {
+		fmt.Fprintf(stderr, "advisord: -precision must be in [0, %d]\n", obs.MaxPrecision)
 		return 2
 	}
 	if *sample < 0 || *sample > 1 {
@@ -122,6 +123,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *sloAvail < 0 || *sloAvail >= 1 {
 		fmt.Fprintln(stderr, "advisord: -slo-availability must be in [0, 1), e.g. 0.999 (0 disables)")
+		return 2
+	}
+	if *sloLatObj < 0 {
+		fmt.Fprintln(stderr, "advisord: -slo-latency-objective must be non-negative (0 disables)")
 		return 2
 	}
 	if *sloLatTgt <= 0 || *sloLatTgt >= 1 {
@@ -153,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Rule:                defRule,
 		Precision:           *precision,
 		Events:              runDir.Events(),
-		Window:              *window,
 		Slow:                *slow,
 		SlowLog:             stderr,
 		SLOAvailability:     *sloAvail,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -117,7 +118,7 @@ func TestRunServesDrainsAndPersists(t *testing.T) {
 		t.Fatalf("/metrics = %d", resp.StatusCode)
 	}
 	for _, want := range []string{
-		"advisord_requests_total", "advisord_request_latency_seconds", "advisord_ready 1",
+		"advisord_requests_total", "advisord_request_duration_seconds", "advisord_ready 1",
 		"advisord_build_info{", `advisord_slo_error_budget_burn{slo="availability"}`,
 		`advisord_slo_error_budget_burn{slo="latency"}`, "advisord_traces_total",
 	} {
@@ -225,7 +226,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-scale", "1.5"},
 		{"-drain", "0s"},
 		{"-slow", "-1ms"},
-		{"-window", "0s"},
+		{"-precision", "-3"},
+		{"-precision", strconv.Itoa(obs.MaxPrecision + 1)},
+		{"-slo-latency-objective", "-1ms"},
 		{"-trace-sample", "1.5"},
 		{"-trace-sample", "-0.1"},
 		{"-slo-availability", "1"},

@@ -30,7 +30,8 @@
 //	report latency -quantile 0.999 -tol 0.25 base new
 //	report slo -availability 0.999 <rundir>   # SLO compliance + error budget
 //	report slo -latency-objective 100ms -latency-target 0.99 <rundir>
-//	report watch http://127.0.0.1:8080        # live rate/p50/p99 view from a
+//	report watch http://127.0.0.1:8080        # per-poll rate/p50/p99/burn from
+//	                                          # consecutive scrapes of a
 //	                                          # running advisord's /metrics
 //	report watch -format json http://...      # one JSON object per poll
 //
@@ -128,8 +129,9 @@ subcommands:
                             multi-window 5m/1h burn rates when the run has
                             per-request events; exit 1 when a budget is
                             exhausted, 3 when no SLI could be computed)
-  watch   <url>             live rate/p50/p99 and SLO-burn view polled from an
-                            advisord /metrics endpoint (-interval D -count N
+  watch   <url>             per-poll rate, p50/p99 and SLO burn, differenced
+                            between consecutive scrapes of an advisord
+                            /metrics endpoint (-interval D -count N
                             -format text|json; exit 3 when every poll fails;
                             for a finished run's latency use
                             report latency <rundir>)
@@ -488,8 +490,8 @@ func runLatency(args []string, stdout, stderr io.Writer) int {
 func ns(v int64) time.Duration { return time.Duration(v) }
 
 // runWatch polls a live /metrics endpoint (an http[s]:// target) and
-// renders the rolling rate/quantile view. It is a view, not a gate: `report
-// latency` and `report slo` judge latency.
+// renders each poll interval's rate, quantiles and burns. It is a view, not
+// a gate: `report latency` and `report slo` judge latency.
 func runWatch(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("report watch", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -219,7 +219,8 @@ func TestWatchRunDir(t *testing.T) {
 // TestWatchHTTPTarget: an http:// target is polled as a /metrics endpoint
 // (the path is appended when absent).
 func TestWatchHTTPTarget(t *testing.T) {
-	ts := metricsServer(t, "advisord_requests_total 7\nadvisord_request_latency_seconds{quantile=\"0.99\"} 0.000001\n")
+	ts := metricsServer(t, "advisord_requests_total 7\n"+
+		"advisord_request_duration_seconds_bucket{le=\"1e-06\"} 7\nadvisord_request_duration_seconds_count 7\n")
 	code, out, errOut := drive(t, "watch", "-count", "1", "-interval", "0s", ts.URL)
 	if code != exitcode.OK {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
@@ -414,7 +415,8 @@ func TestSLOExitCodes(t *testing.T) {
 
 // TestWatchJSONFormat: -format json emits JSONL a machine can consume.
 func TestWatchJSONFormat(t *testing.T) {
-	ts := metricsServer(t, "advisord_requests_total 100000\nadvisord_request_latency_seconds{quantile=\"0.99\"} 0.000001\n")
+	ts := metricsServer(t, "advisord_requests_total 100000\n"+
+		"advisord_request_duration_seconds_bucket{le=\"1e-06\"} 100000\nadvisord_request_duration_seconds_count 100000\n")
 	code, out, errOut := drive(t, "watch", "-count", "2", "-interval", "0s", "-format", "json", ts.URL)
 	if code != exitcode.OK {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)

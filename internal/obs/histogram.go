@@ -116,25 +116,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observed (clamped) values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// reset zeroes the histogram (a window slot re-entering service).
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.min.Store(math.MaxInt64)
-	h.max.Store(0)
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram: sparse bucket
 // counts keyed by bucket index, plus the exact observed extremes. Snapshots
 // are value types made for the read side — they marshal to JSON (the
@@ -235,6 +216,16 @@ func (s HistogramSnapshot) CountAtOrBelow(v int64) int64 {
 		}
 	}
 	return n
+}
+
+// BudgetBurn is an SLO's error-budget burn: the bad fraction of total
+// events over the allowed fraction 1 − target (0 when nothing was
+// observed). 1.0 spends the budget exactly; above 1.0 it is overspent.
+func BudgetBurn(bad, total int64, target float64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return (float64(bad) / float64(total)) / (1 - target)
 }
 
 // Mean returns the exact mean of the observations (0 on empty).

@@ -36,16 +36,6 @@ func NewProgress(w io.Writer, label string, every time.Duration) *Progress {
 	return &Progress{w: w, label: label, every: every, start: time.Now()}
 }
 
-// SetLabel renames the reporter (e.g. per experiment id).
-func (p *Progress) SetLabel(label string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.label = label
-	p.mu.Unlock()
-}
-
 // AttachEvents mirrors every emitted progress line into l as a typed
 // progress event (a nil l detaches).
 func (p *Progress) AttachEvents(l *EventLog) {

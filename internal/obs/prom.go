@@ -10,10 +10,11 @@ import (
 // This file renders metrics in the Prometheus text exposition format
 // (version 0.0.4) — the lingua franca of scrape-based monitoring — without
 // taking a client-library dependency. The write side stays tiny because the
-// repo's metric model is tiny: counters, gauges, and HistogramSnapshots.
-// Registry.WriteProm renders the metrics registry on every /metrics (the
-// -http flag's and advisord's); internal/server adds its request series on
-// top, and internal/report's `watch` parses the output back.
+// repo's metric model is tiny: counters, gauges, and cumulative
+// HistogramSnapshots. Registry.WriteProm renders the metrics registry on
+// every /metrics (the -http flag's and advisord's); internal/server adds its
+// request series on top, and internal/report's `watch` parses the output
+// back and differences consecutive scrapes.
 
 // PromContentType is the Content-Type of a text exposition response.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -140,22 +141,6 @@ func (p *PromWriter) Value(name string, labels []string, v float64) {
 // Int emits one sample line with an integer value.
 func (p *PromWriter) Int(name string, labels []string, v int64) {
 	p.write(series(name, labels) + " " + strconv.FormatInt(v, 10) + "\n")
-}
-
-// Summary emits a Prometheus summary from two snapshots: quantile lines
-// estimated over win (the rolling window — the summary convention is
-// sliding-window quantiles) and _sum/_count from cum (cumulative, as the
-// format requires). scale converts observed units to the exposed unit
-// (1e-9 for ns → seconds). An empty window emits no quantile lines; the
-// cumulative _sum/_count always appear.
-func (p *PromWriter) Summary(name string, labels []string, win, cum HistogramSnapshot, scale float64, quantiles ...float64) {
-	if win.Count > 0 {
-		for _, q := range quantiles {
-			p.Value(name, append(labels, "quantile", promFloat(q)), float64(win.Quantile(q))*scale)
-		}
-	}
-	p.Value(name+"_sum", labels, float64(cum.Sum)*scale)
-	p.Int(name+"_count", labels, cum.Count)
 }
 
 // Histogram emits a Prometheus histogram from a cumulative snapshot: one

@@ -42,7 +42,7 @@ func TestPromWriterScalarsAndEscaping(t *testing.T) {
 	}
 }
 
-func TestPromWriterSummaryAndHistogram(t *testing.T) {
+func TestPromWriterHistogram(t *testing.T) {
 	h := NewHistogram(DefaultPrecision)
 	for i := int64(1); i <= 1000; i++ {
 		h.Observe(i * 1000) // 1µs .. 1ms in ns
@@ -51,31 +51,28 @@ func TestPromWriterSummaryAndHistogram(t *testing.T) {
 
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.Summary("lat_seconds", []string{"endpoint", "decide"}, snap, snap, 1e-9, 0.5, 0.99)
-	p.Histogram("dur_seconds", nil, snap, 1e-9)
+	p.Histogram("dur_seconds", []string{"endpoint", "decide"}, snap, 1e-9)
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 
 	for _, want := range []string{
-		`lat_seconds{endpoint="decide",quantile="0.5"} `,
-		`lat_seconds{endpoint="decide",quantile="0.99"} `,
-		`lat_seconds_sum{endpoint="decide"} `,
-		`lat_seconds_count{endpoint="decide"} 1000`,
-		`dur_seconds_bucket{le="+Inf"} 1000`,
-		`dur_seconds_count 1000`,
+		`dur_seconds_bucket{endpoint="decide",le="+Inf"} 1000`,
+		`dur_seconds_sum{endpoint="decide"} `,
+		`dur_seconds_count{endpoint="decide"} 1000`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
 
-	// Buckets must be cumulative and monotone, ending exactly at the count.
+	// Buckets must be cumulative and monotone, ending exactly at the count,
+	// and each le must be an HDR bucket's upper bound in seconds.
 	var last float64
 	var bucketLines int
 	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "dur_seconds_bucket{le=") || strings.Contains(line, "+Inf") {
+		if !strings.HasPrefix(line, "dur_seconds_bucket{") || strings.Contains(line, "+Inf") {
 			continue
 		}
 		bucketLines++
@@ -93,34 +90,6 @@ func TestPromWriterSummaryAndHistogram(t *testing.T) {
 	}
 	if last != 1000 {
 		t.Errorf("last finite bucket = %.0f, want 1000 (all observations bounded)", last)
-	}
-
-	// The p50 quantile of 1..1000 µs is ~500µs, exposed in seconds.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, `lat_seconds{endpoint="decide",quantile="0.5"}`) {
-			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v < 0.0004 || v > 0.00052 {
-				t.Errorf("p50 = %g s, want ~0.0005", v)
-			}
-		}
-	}
-}
-
-func TestPromWriterEmptyWindowSummary(t *testing.T) {
-	var b strings.Builder
-	p := NewPromWriter(&b)
-	var empty HistogramSnapshot
-	cum := HistogramSnapshot{Count: 7, Sum: 7000}
-	p.Summary("lat", nil, empty, cum, 1e-9, 0.5)
-	out := b.String()
-	if strings.Contains(out, "quantile") {
-		t.Errorf("empty window emitted quantile lines:\n%s", out)
-	}
-	if !strings.Contains(out, "lat_count 7") {
-		t.Errorf("cumulative count missing:\n%s", out)
 	}
 }
 

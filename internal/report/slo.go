@@ -159,7 +159,7 @@ func finish(res SLOResult, evs []sloEvent, windows []time.Duration) SLOResult {
 	}
 	res.Requests, res.Bad = int64(len(evs)), bad
 	res.Compliance = 1 - float64(bad)/float64(len(evs))
-	res.BudgetSpent = burn(bad, int64(len(evs)), res.Target)
+	res.BudgetSpent = obs.BudgetBurn(bad, int64(len(evs)), res.Target)
 	for _, w := range windows {
 		cutoff := last.Add(-w)
 		var wreq, wbad int64
@@ -173,19 +173,10 @@ func finish(res SLOResult, evs []sloEvent, windows []time.Duration) SLOResult {
 			}
 		}
 		res.Windows = append(res.Windows, SLOWindow{
-			Window: w, Requests: wreq, Bad: wbad, Burn: burn(wbad, wreq, res.Target),
+			Window: w, Requests: wreq, Bad: wbad, Burn: obs.BudgetBurn(wbad, wreq, res.Target),
 		})
 	}
 	return res
-}
-
-// burn is the error-budget burn rate: the bad fraction over the allowed
-// fraction (0 when nothing was observed).
-func burn(bad, total int64, target float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return (float64(bad) / float64(total)) / (1 - target)
 }
 
 // loadgen error-counter names in metrics.json — the availability fallback
@@ -213,7 +204,7 @@ func (r *Run) sloAvailability(opt SLOOptions) SLOResult {
 	res.Source = obs.MetricsFile
 	res.Requests, res.Bad = h.Count, bad
 	res.Compliance = 1 - float64(bad)/float64(h.Count)
-	res.BudgetSpent = burn(bad, h.Count, res.Target)
+	res.BudgetSpent = obs.BudgetBurn(bad, h.Count, res.Target)
 	return res
 }
 
@@ -237,7 +228,7 @@ func (r *Run) sloLatency(opt SLOOptions) SLOResult {
 	res.Source = obs.HistogramsFile
 	res.Requests, res.Bad = h.Count, h.Count-good
 	res.Compliance = float64(good) / float64(h.Count)
-	res.BudgetSpent = burn(res.Bad, h.Count, res.Target)
+	res.BudgetSpent = obs.BudgetBurn(res.Bad, h.Count, res.Target)
 	return res
 }
 

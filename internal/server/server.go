@@ -8,7 +8,7 @@
 // directory; cmd/loadgen's HTTP mode drives it at service speed.
 //
 // Observability follows the repo's conventions: per-endpoint request
-// latency lands in the server's own windowed histograms (live on /metrics,
+// latency lands in one cumulative histogram per endpoint (live on /metrics,
 // flushed as histograms.json so `report latency` works unchanged on server
 // runs), and each request is logged as an "http_request" event when the
 // server is given a run dir's event log.
@@ -33,8 +33,9 @@ import (
 	"hamlet/internal/registry"
 )
 
-// endpoints are the instrumented routes, each with its own latency series.
-var endpoints = []string{"decide", "datasets", "healthz", "readyz", "metrics"}
+// endpoints are the instrumented routes, each with its own latency series,
+// sorted so successive /metrics scrapes line up.
+var endpoints = []string{"datasets", "decide", "healthz", "metrics", "readyz"}
 
 // Defaults for Config's zero values.
 const (
@@ -71,10 +72,6 @@ type Config struct {
 	// Registry, when set, replaces the server-owned registry (tests,
 	// pre-warmed processes).
 	Registry *registry.Registry
-	// Window is the rolling-metrics rotation interval
-	// (0 = obs.DefaultWindow). /metrics summaries and rates cover the last
-	// obs.DefaultWindows windows of this length.
-	Window time.Duration
 	// Slow is the slow-request threshold: a request at or beyond it is
 	// logged, counted, and retained as an exemplar on /debug/slow.
 	// 0 disables slow-request capture.
@@ -92,12 +89,12 @@ type Config struct {
 	Traces *obs.TraceLog
 	// SLOAvailability is the availability SLO target in (0, 1), e.g. 0.999
 	// = "99.9% of requests answer without a 4xx/5xx". 0 disables the
-	// availability burn-rate gauge on /metrics.
+	// availability budget-burn gauge on /metrics.
 	SLOAvailability float64
 	// SLOLatencyObjective and SLOLatencyTarget define the latency SLO:
 	// SLOLatencyTarget of requests (e.g. 0.99) must finish within
 	// SLOLatencyObjective (e.g. 1ms). Either zero disables the latency
-	// burn-rate gauge.
+	// budget-burn gauge.
 	SLOLatencyObjective time.Duration
 	SLOLatencyTarget    float64
 }
@@ -121,9 +118,8 @@ type Server struct {
 	requests, errors atomic.Int64
 	// inFlight gauges requests currently inside a handler.
 	inFlight atomic.Int64
-	hists    map[string]*obs.WindowedHistogram
-	// wreq and werr back the rolling request/error rates on /metrics.
-	wreq, werr *obs.WindowedCounter
+	// hists holds one cumulative latency histogram per endpoint.
+	hists map[string]*obs.Histogram
 	// idPrefix + idSeq mint X-Request-IDs for requests arriving without one.
 	idPrefix string
 	idSeq    atomic.Uint64
@@ -159,18 +155,13 @@ func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = registry.New()
 	}
-	if cfg.Window == 0 {
-		cfg.Window = obs.DefaultWindow
-	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		known:    make(map[string]bool),
 		advTR:    &core.Advisor{Rule: core.TRRule},
 		advROR:   &core.Advisor{Rule: core.RORRule},
-		hists:    make(map[string]*obs.WindowedHistogram, len(endpoints)),
-		wreq:     obs.NewWindowedCounter(cfg.Window, obs.DefaultWindows),
-		werr:     obs.NewWindowedCounter(cfg.Window, obs.DefaultWindows),
+		hists:    make(map[string]*obs.Histogram, len(endpoints)),
 		idPrefix: requestIDPrefix(),
 	}
 	s.buildVersion, s.buildCommit = obs.BuildIdentity()
@@ -178,7 +169,7 @@ func New(cfg Config) *Server {
 		s.known[name] = true
 	}
 	for _, ep := range endpoints {
-		s.hists[ep] = obs.NewWindowedHistogram(cfg.Precision, cfg.Window, obs.DefaultWindows)
+		s.hists[ep] = obs.NewHistogram(cfg.Precision)
 	}
 
 	mux := http.NewServeMux()
@@ -242,25 +233,37 @@ func (s *Server) Stats() (requests, errors int64) {
 	return s.requests.Load(), s.errors.Load()
 }
 
+// snapshots takes one snapshot per endpoint (in endpoints order) and their
+// run-level merge. Both come from the same copies, so the merge's count is
+// exactly the sum of the endpoints' counts.
+func (s *Server) snapshots() ([]obs.HistogramSnapshot, obs.HistogramSnapshot) {
+	snaps := make([]obs.HistogramSnapshot, len(endpoints))
+	var total obs.HistogramSnapshot
+	for i, ep := range endpoints {
+		snaps[i] = s.hists[ep].Snapshot()
+		// Same precision everywhere by construction; Merge cannot fail.
+		_ = total.Merge(snaps[i])
+	}
+	if total.Count == 0 {
+		// Merge skips empty snapshots, so adopt the histograms' (clamped)
+		// precision: an idle server still renders a well-formed series.
+		total.Precision = snaps[0].Precision
+	}
+	return snaps, total
+}
+
 // Histograms snapshots the per-endpoint latency series plus their run-level
 // merge under the loadgen-compatible names, ready for
 // obs.RunDir.WriteHistograms. Endpoints that served nothing are omitted;
 // the merge is always present (empty runs still flush a well-formed
 // artifact).
 func (s *Server) Histograms() map[string]obs.HistogramSnapshot {
-	out := make(map[string]obs.HistogramSnapshot, len(s.hists)+1)
-	var total obs.HistogramSnapshot
-	for ep, h := range s.hists {
-		snap := h.Total()
-		if snap.Count == 0 {
-			continue
+	snaps, total := s.snapshots()
+	out := make(map[string]obs.HistogramSnapshot, len(snaps)+1)
+	for i, snap := range snaps {
+		if snap.Count > 0 {
+			out[obs.LatencyHist+"."+endpoints[i]] = snap
 		}
-		out[obs.LatencyHist+"."+ep] = snap
-		// Same precision everywhere by construction; Merge cannot fail.
-		_ = total.Merge(snap)
-	}
-	if total.Count == 0 {
-		total.Precision = s.cfg.Precision
 	}
 	out[obs.LatencyHist] = total
 	return out
@@ -306,9 +309,9 @@ func (s *Server) requestID(r *http.Request) string {
 }
 
 // instrument wraps a handler with the per-endpoint latency histogram, the
-// request/error counters and rolling rates, the request ID, the trace
-// context and server span (when a Sampler is configured), slow-request
-// capture, and the request-log event.
+// request/error counters, the request ID, the trace context and server span
+// (when a Sampler is configured), slow-request capture, and the request-log
+// event.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	hist := s.hists[endpoint]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -326,10 +329,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		s.inFlight.Add(-1)
 		hist.Observe(elapsed.Nanoseconds())
 		s.requests.Add(1)
-		s.wreq.Inc()
 		if rec.status >= 400 {
 			s.errors.Add(1)
-			s.werr.Inc()
 		}
 		s.finishTrace(st, id, elapsed, rec.status)
 		if s.cfg.Slow > 0 && elapsed >= s.cfg.Slow {

@@ -9,13 +9,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hamlet/internal/core"
 	"hamlet/internal/obs"
 	"hamlet/internal/registry"
+	"hamlet/internal/synth"
 )
 
 // testConfig keeps generation cheap: the smallest scale the smoke paths use.
@@ -124,6 +127,74 @@ func TestDecideBatch(t *testing.T) {
 	// One dataset generated once, despite 100 queries.
 	if n := s.Registry().Len(); n != 1 {
 		t.Errorf("registry holds %d entries after a single-dataset batch, want 1", n)
+	}
+}
+
+// TestDecideAvoidTableOverHTTP: the §5 avoid/keep table served over
+// /v1/decide is the in-process advisor's, decision for decision, under both
+// rules: every mimic at scale 0.02, seed 3, in one batch.
+func TestDecideAvoidTableOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	mimics := synth.Mimics()
+	rules := []core.Rule{core.TRRule, core.RORRule}
+	var queries []Query
+	for _, rule := range rules {
+		for _, m := range mimics {
+			queries = append(queries, Query{Dataset: m.Name, Scale: 0.02, Seed: 3, Rule: rule.String()})
+		}
+	}
+	resp, data := postDecide(t, ts, DecideRequest{Requests: queries})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body: %s", resp.StatusCode, data)
+	}
+	var out DecideResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(queries) {
+		t.Fatalf("results = %d, want %d", len(out.Results), len(queries))
+	}
+	for ri, rule := range rules {
+		avoided := 0
+		for mi, m := range mimics {
+			d, err := m.Generate(0.02, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decs, err := (&core.Advisor{Rule: rule}).Decide(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]Decision, len(decs))
+			for j, dec := range decs {
+				want[j] = decisionFromCore(dec)
+			}
+			got := out.Results[ri*len(mimics)+mi].Decisions
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%v over HTTP = %+v, in-process %+v", m.Name, rule, got, want)
+			}
+			for _, dec := range got {
+				if dec.Avoid {
+					avoided++
+				}
+				if rule == core.TRRule && dec.Attr == "Searches" && dec.Considered {
+					t.Errorf("%s/%s: open-domain FK considered under TR", m.Name, dec.Attr)
+				}
+			}
+		}
+		if rule == core.TRRule && avoided != 7 {
+			t.Errorf("TR avoids %d joins over HTTP, want the paper's 7", avoided)
+		}
+	}
+}
+
+// TestHistogramsEmptyRunPrecision: an idle server's run-level snapshot
+// carries the histograms' clamped precision, never the raw config value.
+func TestHistogramsEmptyRunPrecision(t *testing.T) {
+	for cfg, want := range map[int]int{-3: 0, obs.MaxPrecision + 5: obs.MaxPrecision, 0: obs.DefaultPrecision} {
+		if got := New(Config{Precision: cfg}).Histograms()[obs.LatencyHist].Precision; got != want {
+			t.Errorf("Precision %d: empty run-level snapshot at precision %d, want %d", cfg, got, want)
+		}
 	}
 }
 

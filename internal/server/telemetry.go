@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -17,11 +16,11 @@ import (
 // a running advisord, where server.go's artifacts (histograms.json,
 // metrics.json) are the post-mortem view. Three surfaces:
 //
-//   - GET /metrics — Prometheus text exposition: cumulative request/error
-//     counters, the in-flight gauge, rolling request/error rates, windowed
-//     latency quantiles (summary) and cumulative latency buckets (histogram)
-//     per endpoint, plus every metric on the obs.Default registry
-//     (Registry.WriteProm, the renderer behind the CLIs' -http /metrics).
+//   - GET /metrics — Prometheus text exposition, cumulative since start:
+//     request/error counters, the in-flight gauge, latency buckets
+//     (histogram) per endpoint and merged, the SLO budget spent, plus every
+//     metric on the obs.Default registry (Registry.WriteProm, the renderer
+//     behind the CLIs' -http /metrics).
 //   - X-Request-ID — every instrumented request carries one: accepted from
 //     the client when well formed (1..128 visible ASCII bytes), generated
 //     otherwise, echoed in the response, and threaded through the
@@ -30,9 +29,6 @@ import (
 //   - /debug/slow — a ring of the most recent slow-request exemplars
 //     (requests at or beyond Config.Slow), each carrying its request ID, so
 //     a tail spike on the scrape surface resolves to attributable requests.
-
-// Exposed quantiles of the rolling latency summaries.
-var metricsQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // slowRingDepth caps the /debug/slow exemplar buffer.
 const slowRingDepth = 64
@@ -154,27 +150,25 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the Prometheus text exposition. Naming: the summary
-// advisord_request_latency_seconds carries rolling-window quantiles (the
-// summary convention) with cumulative _sum/_count; the histogram
-// advisord_request_duration_seconds carries the cumulative bucket
-// distribution — two names because the exposition format allows one type
-// per name. Run-level latency series carry no endpoint label; per-endpoint
-// series add one.
+// handleMetrics serves the Prometheus text exposition. Every series is
+// cumulative since process start: a rate, an interval's quantiles or an
+// interval's burn is the difference of two scrapes, which `report watch`
+// takes on every poll. Latency is one histogram name,
+// advisord_request_duration_seconds: one series per endpoint plus their
+// unlabeled run-level merge, all rendered from one snapshot per endpoint, so
+// the merge's _count is exactly the sum of the endpoints' _counts.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	p := obs.NewPromWriter(w)
+	requests, errors := s.Stats()
+	snaps, total := s.snapshots()
 
 	p.Type("advisord_requests_total", "counter", "Instrumented requests served since process start.")
-	p.Int("advisord_requests_total", nil, s.requests.Load())
+	p.Int("advisord_requests_total", nil, requests)
 	p.Type("advisord_request_errors_total", "counter", "Requests answered with a 4xx or 5xx status.")
-	p.Int("advisord_request_errors_total", nil, s.errors.Load())
+	p.Int("advisord_request_errors_total", nil, errors)
 	p.Type("advisord_in_flight_requests", "gauge", "Requests currently being handled.")
 	p.Int("advisord_in_flight_requests", nil, s.inFlight.Load())
-	p.Type("advisord_requests_per_second", "gauge", "Rolling request rate over the histogram window ring.")
-	p.Value("advisord_requests_per_second", nil, s.wreq.Rate())
-	p.Type("advisord_request_errors_per_second", "gauge", "Rolling error rate over the histogram window ring.")
-	p.Value("advisord_request_errors_per_second", nil, s.werr.Rate())
 	p.Type("advisord_slow_requests_total", "counter", "Requests at or beyond the -slow threshold since process start.")
 	_, slowTotal := s.slow.list()
 	p.Int("advisord_slow_requests_total", nil, slowTotal)
@@ -191,67 +185,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Int("advisord_traces_total", nil, s.traces.Load())
 	}
 
-	eps := make([]string, 0, len(s.hists))
-	for ep := range s.hists {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-
-	// Rolling quantiles per endpoint and run-level; cumulative _sum/_count.
-	p.Type("advisord_request_latency_seconds", "summary",
-		"Request latency: rolling-window quantiles, cumulative sum/count.")
-	var winAll, cumAll obs.HistogramSnapshot
-	for _, ep := range eps {
-		h := s.hists[ep]
-		win, cum := h.Window(0), h.Total()
-		// Identical precision by construction; Merge cannot fail.
-		_ = winAll.Merge(win)
-		_ = cumAll.Merge(cum)
-		p.Summary("advisord_request_latency_seconds", []string{"endpoint", ep}, win, cum, 1e-9, metricsQuantiles...)
-	}
-	p.Summary("advisord_request_latency_seconds", nil, winAll, cumAll, 1e-9, metricsQuantiles...)
-
-	// Live SLO burn rates over the rolling window. Burn = (bad fraction) /
-	// (error budget): 1.0 spends the budget exactly at the sustainable
-	// rate, 14.4 exhausts a 30-day budget in 2 days (the SRE fast-burn
-	// alarm). `report watch` prints these on every poll.
+	// Error-budget burn since start: the whole-run "budget spent" that
+	// `report slo` prints. 1.0 spends the budget exactly; `report watch`
+	// derives each poll interval's burn from the targets exposed here.
 	if s.cfg.SLOAvailability > 0 || (s.cfg.SLOLatencyObjective > 0 && s.cfg.SLOLatencyTarget > 0) {
 		p.Type("advisord_slo_error_budget_burn", "gauge",
-			"Rolling-window error-budget burn rate per SLO (1.0 = sustainable).")
+			"Error-budget spent per SLO since process start: bad fraction over (1 - target).")
 	}
 	if target := s.cfg.SLOAvailability; target > 0 {
-		burn := 0.0
-		if reqRate := s.wreq.Rate(); reqRate > 0 {
-			burn = (s.werr.Rate() / reqRate) / (1 - target)
-		}
-		p.Value("advisord_slo_error_budget_burn", []string{"slo", "availability"}, burn)
+		p.Value("advisord_slo_error_budget_burn", []string{"slo", "availability"}, obs.BudgetBurn(errors, requests, target))
 		p.Type("advisord_slo_availability_target", "gauge", "Configured availability SLO target.")
 		p.Value("advisord_slo_availability_target", nil, target)
 	}
 	if obj, target := s.cfg.SLOLatencyObjective, s.cfg.SLOLatencyTarget; obj > 0 && target > 0 {
-		burn := 0.0
-		if winAll.Count > 0 {
-			badFrac := 1 - float64(winAll.CountAtOrBelow(obj.Nanoseconds()))/float64(winAll.Count)
-			burn = badFrac / (1 - target)
-		}
-		p.Value("advisord_slo_error_budget_burn", []string{"slo", "latency"}, burn)
+		bad := total.Count - total.CountAtOrBelow(obj.Nanoseconds())
+		p.Value("advisord_slo_error_budget_burn", []string{"slo", "latency"}, obs.BudgetBurn(bad, total.Count, target))
 		p.Type("advisord_slo_latency_objective_seconds", "gauge", "Configured latency SLO objective.")
 		p.Value("advisord_slo_latency_objective_seconds", nil, obj.Seconds())
 		p.Type("advisord_slo_latency_target", "gauge", "Configured fraction of requests required within the objective.")
 		p.Value("advisord_slo_latency_target", nil, target)
 	}
 
-	// Cumulative bucket distribution per endpoint.
 	p.Type("advisord_request_duration_seconds", "histogram",
-		"Request latency: cumulative HDR bucket distribution.")
-	for _, ep := range eps {
-		p.Histogram("advisord_request_duration_seconds", []string{"endpoint", ep}, s.hists[ep].Total(), 1e-9)
+		"Request latency since process start: cumulative HDR buckets per endpoint and merged.")
+	for i, ep := range endpoints {
+		p.Histogram("advisord_request_duration_seconds", []string{"endpoint", ep}, snaps[i], 1e-9)
 	}
-
-	p.Type("advisord_endpoint_requests_total", "counter", "Requests served per endpoint since process start.")
-	for _, ep := range eps {
-		p.Int("advisord_endpoint_requests_total", []string{"endpoint", ep}, s.hists[ep].Total().Count)
-	}
+	p.Histogram("advisord_request_duration_seconds", nil, total, 1e-9)
 
 	// Every metric on the process-wide registry, under hamlet_<name>. A
 	// write error means the scraper hung up; nothing is left to answer.

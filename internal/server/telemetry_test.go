@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hamlet/internal/obs"
+	"hamlet/internal/report"
 )
 
 // get fetches a path from the test server and returns status and body.
@@ -236,24 +238,21 @@ func TestMetricsExposition(t *testing.T) {
 
 	for _, want := range []string{
 		"# TYPE advisord_requests_total counter",
-		"# TYPE advisord_request_latency_seconds summary",
 		"# TYPE advisord_request_duration_seconds histogram",
-		`advisord_request_latency_seconds{endpoint="decide",quantile="0.99"} `,
-		`advisord_request_latency_seconds_count{endpoint="decide"} 2`,
+		`advisord_request_duration_seconds_count{endpoint="decide"} 2`,
 		`advisord_request_duration_seconds_bucket{endpoint="decide",le="+Inf"} 2`,
-		`advisord_endpoint_requests_total{endpoint="decide"} 2`,
 		"advisord_request_errors_total 1",
 		"advisord_in_flight_requests ",
-		"advisord_requests_per_second ",
 		"advisord_ready 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The run-level (label-free) summary merges every endpoint.
-	if !strings.Contains(out, "advisord_request_latency_seconds_count ") {
-		t.Error("no run-level latency summary")
+	// The run-level (label-free) histogram merges every endpoint.
+	if !strings.Contains(out, `advisord_request_duration_seconds_bucket{le="+Inf"} 2`) ||
+		!strings.Contains(out, "advisord_request_duration_seconds_count 2\n") {
+		t.Error("no run-level latency histogram")
 	}
 	// Registry scalars ride along under the hamlet_ prefix.
 	if !strings.Contains(out, "hamlet_") {
@@ -279,21 +278,136 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-func TestMetricsRatesMoveUnderTraffic(t *testing.T) {
-	cfg := testConfig()
-	cfg.Window = time.Second // short window so the rate reflects this test's traffic
-	s, ts := newTestServer(t, cfg)
-	for i := 0; i < 5; i++ {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
+// scrape fetches /metrics and indexes its samples by series, the name with
+// its label set as rendered ("x_count{endpoint=\"decide\"}").
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	status, data := get(t, ts, "/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", status)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
 		}
-		resp.Body.Close()
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		out[line[:sp]] = v
 	}
-	if rate := s.wreq.Rate(); rate <= 0 {
-		t.Errorf("request rate = %v after traffic, want > 0", rate)
+	return out
+}
+
+// checkRunLevelCount asserts that one scrape's run-level latency count is
+// the sum of its per-endpoint counts.
+func checkRunLevelCount(t *testing.T, m map[string]float64) {
+	t.Helper()
+	var sum float64
+	for _, ep := range endpoints {
+		sum += m[`advisord_request_duration_seconds_count{endpoint="`+ep+`"}`]
 	}
-	if rate := s.werr.Rate(); rate != 0 {
-		t.Errorf("error rate = %v with no errors, want 0", rate)
+	if total := m["advisord_request_duration_seconds_count"]; total != sum {
+		t.Errorf("run-level _count = %v, per-endpoint sum = %v", total, sum)
+	}
+}
+
+// TestMetricsRatesMoveUnderTraffic: /metrics exposes cumulative series only,
+// and a watcher derives rates from two scrapes. Between two scrapes the
+// counters and the run-level histogram must move by exactly the traffic in
+// between.
+func TestMetricsRatesMoveUnderTraffic(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	first := scrape(t, ts)
+	for i := 0; i < 5; i++ {
+		get(t, ts, "/healthz")
+	}
+	postRaw(t, ts, []byte(`{not json`))
+	second := scrape(t, ts)
+	// The first scrape is counted once it has answered: 1 + 5 + 1.
+	for name, want := range map[string]float64{
+		"advisord_requests_total":                                     7,
+		"advisord_request_errors_total":                               1,
+		"advisord_request_duration_seconds_count":                     7,
+		`advisord_request_duration_seconds_count{endpoint="healthz"}`: 5,
+	} {
+		if d := second[name] - first[name]; d != want {
+			t.Errorf("%s moved by %v between scrapes, want %v", name, d, want)
+		}
+	}
+	checkRunLevelCount(t, first)
+	checkRunLevelCount(t, second)
+}
+
+// TestMetricsRunLevelCountIsEndpointSum: each scrape renders the run-level
+// histogram from the same per-endpoint snapshots it exposes, so concurrent
+// traffic can never make the two disagree within one scrape.
+func TestMetricsRunLevelCountIsEndpointSum(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if resp, err := http.Get(ts.URL + "/healthz"); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		checkRunLevelCount(t, scrape(t, ts))
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestMetricsSLOBurnSinceStart: the burn gauges are the error budget spent
+// since start. Availability is (k/N)/(1−target) over the cumulative
+// counters; latency equals `report slo`'s histogram-path budget spent on the
+// server's own run-level snapshot.
+func TestMetricsSLOBurnSinceStart(t *testing.T) {
+	cfg := testConfig()
+	cfg.SLOAvailability = 0.99
+	cfg.SLOLatencyObjective = time.Millisecond
+	cfg.SLOLatencyTarget = 0.9
+	s, ts := newTestServer(t, cfg)
+	// Decide requests sleep past the objective; health checks do not.
+	s.decideHook = func() { time.Sleep(2 * time.Millisecond) }
+	postDecide(t, ts, DecideRequest{Requests: []Query{{Dataset: "Walmart"}}})
+	for i := 0; i < 3; i++ {
+		postRaw(t, ts, []byte(`{not json`))
+		get(t, ts, "/healthz")
+	}
+	n, k := s.Stats()
+	// The scrape renders before its own request is counted, so this
+	// snapshot is the one it renders.
+	hists := s.Histograms()
+	m := scrape(t, ts)
+
+	if n != 7 || k != 3 {
+		t.Fatalf("Stats = (%d, %d), want (7, 3)", n, k)
+	}
+	wantAvail := (float64(k) / float64(n)) / (1 - cfg.SLOAvailability)
+	if got := m[`advisord_slo_error_budget_burn{slo="availability"}`]; got != wantAvail {
+		t.Errorf("availability burn = %v, want %v", got, wantAvail)
+	}
+	run := &report.Run{Histograms: hists}
+	rep := run.SLO(report.SLOOptions{LatencyObjective: cfg.SLOLatencyObjective, LatencyTarget: cfg.SLOLatencyTarget})
+	if len(rep.Results) != 1 || rep.Results[0].Source != obs.HistogramsFile {
+		t.Fatalf("report slo = %+v, want the histogram path", rep.Results)
+	}
+	wantLat := rep.Results[0].BudgetSpent
+	if got := m[`advisord_slo_error_budget_burn{slo="latency"}`]; got != wantLat || got == 0 {
+		t.Errorf("latency burn = %v, want report slo's budget spent %v (> 0)", got, wantLat)
 	}
 }

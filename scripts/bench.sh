@@ -5,7 +5,11 @@
 #   scripts/bench.sh                     # full suite -> BENCH_<YYYY-MM-DD>.json
 #   scripts/bench.sh ForwardSel          # only benchmarks matching the pattern
 #   scripts/bench.sh -count 5            # 5 samples per benchmark, so
-#                                        # cmd/benchdiff can t-test the deltas
+#                                        # cmd/benchdiff can t-test the deltas;
+#                                        # taken as 5 passes of -count 1 over
+#                                        # the whole pattern, so one slow
+#                                        # stretch of a shared host moves one
+#                                        # sample of each benchmark, not all
 #   BENCHTIME=1x scripts/bench.sh        # override -benchtime (default 1s)
 #   BENCH_OUT=new.json scripts/bench.sh  # override the output path (CI uses
 #                                        # this so a same-day run can't
@@ -15,7 +19,7 @@
 # date, Go version, benchtime, pattern, sample count and the hardware (CPU
 # count, GOMAXPROCS, the CPU model `go test` reports); benchmarks is one
 # {name, iterations, ns_per_op, bytes_per_op, allocs_per_op} object per
-# benchmark line (repeated names = repeated -count samples). Compare two
+# benchmark line (repeated names = repeated samples, one per pass). Compare two
 # snapshots with `go run ./cmd/benchdiff old.json new.json` — it also still
 # reads the bare-array snapshots this script emitted before the meta header
 # existed.
@@ -39,8 +43,12 @@ out="${BENCH_OUT:-BENCH_${today}.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench.sh: go test -run ^\$ -bench $pattern -benchtime $benchtime -count $count -benchmem ./..." >&2
-go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem ./... | tee "$raw" >&2
+pass=0
+while [ "$pass" -lt "$count" ]; do
+    pass=$((pass + 1))
+    echo "bench.sh: pass $pass/$count: go test -run ^\$ -bench $pattern -benchtime $benchtime -count 1 -benchmem ./..." >&2
+    go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count 1 -benchmem ./... | tee -a "$raw" >&2
+done
 
 cpu="$(sed -n 's/^cpu: //p' "$raw" | head -n 1 | sed 's/[\\"]//g')"
 
