@@ -25,7 +25,6 @@ import (
 	"hamlet/internal/ml"
 	"hamlet/internal/ml/logreg"
 	"hamlet/internal/ml/nb"
-	"hamlet/internal/obs"
 	"hamlet/internal/relational"
 	"hamlet/internal/stats"
 	"hamlet/internal/synth"
@@ -242,29 +241,6 @@ func BenchmarkForwardSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardSelectionObsOff is BenchmarkForwardSelection with the
-// metrics layer disabled — comparing the two proves the disabled-recorder
-// fast path adds no measurable overhead to the hottest search loop (the
-// acceptance bar is <2%; in practice the pair is within run-to-run noise).
-func BenchmarkForwardSelectionObsOff(b *testing.B) {
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(true)
-	m := benchWorldDesign(20000)
-	idx := make([]int, m.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	train := m.SelectRows(idx[:10000])
-	val := m.SelectRows(idx[10000:])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (fs.Forward{}).Select(nb.New(), train, val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLogregEpochs measures training L1 softmax regression (20 epochs)
 // on 10k rows with a 100-value FK among the features.
 func BenchmarkLogregEpochs(b *testing.B) {
@@ -309,24 +285,6 @@ func BenchmarkAdvisor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := adv.Decide(ds); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOneHotEncode measures one-hot encoding 10k rows of 9 features.
-func BenchmarkOneHotEncode(b *testing.B) {
-	m := benchWorldDesign(10000)
-	feats := make([]int, m.NumFeatures())
-	for i := range feats {
-		feats[i] = i
-	}
-	enc := dataset.NewOneHot(m, feats)
-	row := make([]float64, enc.Dims)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < m.NumRows(); r++ {
-			enc.Row(r, row)
 		}
 	}
 }

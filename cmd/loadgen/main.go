@@ -337,7 +337,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				e := entries[d]
 				var err error
 				if *mode == "decide" {
-					_, err = e.Decide(adv)
+					_, err = adv.DecideFromStats(e.Stats)
 				} else {
 					_, err = hamlet.Analyze(e.Dataset, sel, adv, *seed)
 				}

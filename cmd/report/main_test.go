@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hamlet/internal/exitcode"
+	"hamlet/internal/obs"
 )
 
 // fixture resolves a committed run directory under internal/report/testdata.
@@ -24,6 +25,39 @@ func fixture(t *testing.T, name string) string {
 		}
 	}
 	return path
+}
+
+// tamperedPrecision copies a committed run directory (manifest.json and
+// histograms.json) into a temp dir with every histogram's precision set to
+// p, a layout no histogram can have.
+func tamperedPrecision(t *testing.T, name string, p int) string {
+	t.Helper()
+	src, dir := fixture(t, name), t.TempDir()
+	manifest, err := os.ReadFile(filepath.Join(src, obs.ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(src, obs.HistogramsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art obs.HistogramsArtifact
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	for k, h := range art.Histograms {
+		h.Precision = p
+		art.Histograms[k] = h
+	}
+	if data, err = json.Marshal(art); err != nil {
+		t.Fatal(err)
+	}
+	for file, content := range map[string][]byte{obs.ManifestFile: manifest, obs.HistogramsFile: data} {
+		if err := os.WriteFile(filepath.Join(dir, file), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // drive runs the CLI in-process and returns (exit code, stdout, stderr).
@@ -130,14 +164,20 @@ func TestLatencyDiffExitCodes(t *testing.T) {
 		{"missing baseline vacuous", []string{"latency", "missing", "latency_base"}, exitcode.Vacuous},
 		{"histogram-less run vacuous", []string{"latency", "base"}, exitcode.Vacuous},
 		{"no aligned histograms vacuous", []string{"latency", "base", "drift"}, exitcode.Vacuous},
+		// Precision -10 claims a 2^10 bucket error, which no regression can
+		// cross, and puts every bucket bound at -1: refuse the run.
+		{"out-of-range precision rejected", []string{"latency", "latency_base", "tampered"}, exitcode.Usage},
 	}
-	fixtures := map[string]bool{"latency_base": true, "latency_regress": true, "base": true, "drift": true, "missing": true}
+	dirs := map[string]string{"tampered": tamperedPrecision(t, "latency_regress", -10)}
+	for _, name := range []string{"latency_base", "latency_regress", "base", "drift", "missing"} {
+		dirs[name] = fixture(t, name)
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			args := append([]string{}, c.args...)
 			for i, a := range args {
-				if fixtures[a] {
-					args[i] = fixture(t, a)
+				if dir, ok := dirs[a]; ok {
+					args[i] = dir
 				}
 			}
 			code, out, errOut := drive(t, args...)
@@ -387,14 +427,22 @@ func TestSLOExitCodes(t *testing.T) {
 		{"no SLO configured", []string{"slo", "served_base"}, exitcode.Usage},
 		{"bad availability", []string{"slo", "-availability", "1", "served_base"}, exitcode.Usage},
 		{"bad latency target", []string{"slo", "-latency-objective", "5ms", "-latency-target", "1", "served_base"}, exitcode.Usage},
+		// Precision -10 puts every bucket bound at -1, so every request
+		// would count as within the objective.
+		{"out-of-range precision rejected", []string{"slo", "-latency-objective", "2us", "tampered"}, exitcode.Usage},
 	}
 	if code, _, _ := drive(t, "slo", "-availability", "0.999"); code != exitcode.Usage {
 		t.Errorf("slo with no rundir: exit %d, want %d", code, exitcode.Usage)
 	}
+	tampered := tamperedPrecision(t, "served_base", -10)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			full := append([]string{}, c.args...)
-			full[len(full)-1] = fixture(t, full[len(full)-1])
+			if last := full[len(full)-1]; last == "tampered" {
+				full[len(full)-1] = tampered
+			} else {
+				full[len(full)-1] = fixture(t, last)
+			}
 			code, out, errOut := drive(t, full...)
 			if code != c.want {
 				t.Fatalf("exit = %d, want %d\nstdout: %s\nstderr: %s", code, c.want, out, errOut)

@@ -101,44 +101,6 @@ func TupleRatio(nTrain, nR int) (float64, error) {
 	return float64(nTrain) / float64(nR), nil
 }
 
-// RORApprox is the large-|D_FK| approximation of §4.2 used to relate the ROR
-// to the TR: ROR ≈ √(log(2en/n_R)) / (δ·√(2·TR)); it is approximately linear
-// in 1/√TR for reasonably large TR.
-func RORApprox(nTrain, nR int, delta float64) (float64, error) {
-	tr, err := TupleRatio(nTrain, nR)
-	if err != nil {
-		return 0, err
-	}
-	if delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("core: delta must lie in (0,1), got %v", delta)
-	}
-	arg := 2 * math.E * float64(nTrain) / float64(nR)
-	if arg <= 1 {
-		return 0, nil
-	}
-	return math.Sqrt(math.Log(arg)) / (delta * math.Sqrt(2*tr)), nil
-}
-
-// SafeToAvoidROR applies the ROR rule: the join is predicted safe to avoid
-// when the worst-case ROR is at most rho.
-func SafeToAvoidROR(nTrain, dFK, qRStar int, delta, rho float64) (bool, float64, error) {
-	r, err := ROR(nTrain, dFK, qRStar, delta)
-	if err != nil {
-		return false, 0, err
-	}
-	return r <= rho, r, nil
-}
-
-// SafeToAvoidTR applies the TR rule: the join is predicted safe to avoid
-// when the tuple ratio is at least tau.
-func SafeToAvoidTR(nTrain, nR int, tau float64) (bool, float64, error) {
-	tr, err := TupleRatio(nTrain, nR)
-	if err != nil {
-		return false, 0, err
-	}
-	return tr >= tau, tr, nil
-}
-
 // EntropyGuardBits is the paper's Appendix D conservative guard against
 // malign foreign-key skew: if H(Y) is below this many bits (roughly a
 // 90%:10% class split for a binary target), do not avoid any join.

@@ -136,6 +136,25 @@ func TestTupleRatio(t *testing.T) {
 	}
 }
 
+// decideOne runs the advisor's rule over a one-table DatasetStats: nTrain
+// training rows (TrainFraction 1), an nR-row closed-domain attribute table
+// whose smallest feature domain is qRStar, and a one-bit target entropy that
+// clears the Appendix D guard.
+func decideOne(t *testing.T, rule Rule, th Thresholds, nTrain, nR, qRStar int) Decision {
+	t.Helper()
+	adv := &Advisor{Rule: rule, Thresholds: th, TrainFraction: 1}
+	decs, err := adv.DecideFromStats(&DatasetStats{
+		Name:          "one-table",
+		NumRows:       nTrain,
+		TargetEntropy: 1,
+		Attrs:         []AttrStats{{FK: "FK", Attr: "R", NR: nR, QRStar: qRStar, ClosedDomain: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decs[0]
+}
+
 // TestPaperTupleRatios checks the TR rule against every closed-domain FK of
 // the paper's Figure 6 datasets (n_train = 0.5·n_S, τ = 20) and verifies it
 // reproduces the avoid/keep split reported in §5.
@@ -162,12 +181,9 @@ func TestPaperTupleRatios(t *testing.T) {
 	}
 	for _, c := range cases {
 		nTrain := c.nS / 2
-		avoid, tr, err := SafeToAvoidTR(nTrain, c.nR, DefaultThresholds.Tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if avoid != c.avoid {
-			t.Errorf("%s: TR=%.1f predicted avoid=%v, paper says %v", c.dataset, tr, avoid, c.avoid)
+		dec := decideOne(t, TRRule, DefaultThresholds, nTrain, c.nR, 2)
+		if dec.Avoid != c.avoid {
+			t.Errorf("%s: TR=%.1f predicted avoid=%v, paper says %v", c.dataset, dec.TR, dec.Avoid, c.avoid)
 		}
 	}
 }
@@ -176,38 +192,25 @@ func TestPaperTupleRatios(t *testing.T) {
 // (τ = 10), the two Flights airport joins flip to avoidable.
 func TestRelaxedThresholdAdmitsFlights(t *testing.T) {
 	nTrain := 66548 / 2
-	avoid, tr, err := SafeToAvoidTR(nTrain, 3182, RelaxedThresholds.Tau)
-	if err != nil {
-		t.Fatal(err)
+	if dec := decideOne(t, TRRule, RelaxedThresholds, nTrain, 3182, 2); !dec.Avoid {
+		t.Fatalf("Flights airports TR=%.2f should be avoidable at τ=10", dec.TR)
 	}
-	if !avoid {
-		t.Fatalf("Flights airports TR=%.2f should be avoidable at τ=10", tr)
-	}
-	avoid, _, err = SafeToAvoidTR(nTrain, 3182, DefaultThresholds.Tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avoid {
+	if dec := decideOne(t, TRRule, DefaultThresholds, nTrain, 3182, 2); dec.Avoid {
 		t.Fatal("Flights airports must not be avoidable at τ=20")
 	}
 }
 
-func TestSafeToAvoidROR(t *testing.T) {
+// TestRORRuleAvoidsOnlyLowRisk: the ROR rule avoids a join whose worst-case
+// risk is at most ρ and keeps one whose risk exceeds it.
+func TestRORRuleAvoidsOnlyLowRisk(t *testing.T) {
 	// Small risk: huge n, small FK domain.
-	avoid, r, err := SafeToAvoidROR(100000, 50, 2, DefaultDelta, DefaultThresholds.Rho)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !avoid || r > DefaultThresholds.Rho {
-		t.Fatalf("low-risk case not avoidable: ROR=%v", r)
+	dec := decideOne(t, RORRule, DefaultThresholds, 100000, 50, 2)
+	if !dec.Avoid || dec.ROR > DefaultThresholds.Rho {
+		t.Fatalf("low-risk case not avoidable: ROR=%v", dec.ROR)
 	}
 	// High risk: small n, large FK domain.
-	avoid, r, err = SafeToAvoidROR(1000, 900, 2, DefaultDelta, DefaultThresholds.Rho)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avoid {
-		t.Fatalf("high-risk case avoidable: ROR=%v", r)
+	if dec = decideOne(t, RORRule, DefaultThresholds, 1000, 900, 2); dec.Avoid {
+		t.Fatalf("high-risk case avoidable: ROR=%v", dec.ROR)
 	}
 }
 
@@ -231,27 +234,6 @@ func TestRORLinearInInverseSqrtTR(t *testing.T) {
 	}
 	if corr := stats.Pearson(rors, invSqrtTR); corr < 0.9 {
 		t.Fatalf("Pearson(ROR, 1/sqrt(TR)) = %v, want ≥ 0.9 (paper reports ≈0.97)", corr)
-	}
-}
-
-func TestRORApproxTracksROR(t *testing.T) {
-	// For |D_FK| ≫ q_R* the approximation should be close to the bound.
-	r, err := ROR(10000, 500, 2, DefaultDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := RORApprox(10000, 500, DefaultDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-ra) > 0.35*r {
-		t.Fatalf("approximation too far: ROR=%v approx=%v", r, ra)
-	}
-	if _, err := RORApprox(100, 10, 0); err == nil {
-		t.Fatal("invalid delta accepted")
-	}
-	if _, err := RORApprox(0, 10, 0.1); err == nil {
-		t.Fatal("invalid counts accepted")
 	}
 }
 

@@ -3,9 +3,8 @@
 // X_Ri) connected by key–foreign-key references, exactly the schema setting
 // of the paper's §2.1. It materializes the design matrices that the ML and
 // feature-selection layers consume under the paper's four join plans
-// (JoinAll, JoinOpt, NoJoins, JoinAllNoFK), performs the 50/25/25 holdout
-// split used throughout the evaluation, and one-hot encodes nominal features
-// for the linear models.
+// (JoinAll, JoinOpt, NoJoins, JoinAllNoFK) and performs the 50/25/25 holdout
+// split used throughout the evaluation.
 package dataset
 
 import (

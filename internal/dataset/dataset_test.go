@@ -457,46 +457,3 @@ func TestSplitApply(t *testing.T) {
 		t.Fatal("Apply lost features")
 	}
 }
-
-func TestOneHotEncoding(t *testing.T) {
-	d := churn()
-	m, _ := d.Materialize(d.JoinAllPlan())
-	// Encode Age (card 4 → 3 dims) and Gender (card 2 → 1 dim).
-	e := NewOneHot(m, []int{0, 1})
-	if e.Dims != 4 {
-		t.Fatalf("dims = %d, want 4", e.Dims)
-	}
-	row := make([]float64, e.Dims)
-	// Row 0: Age=0 → [1,0,0]; Gender=0 → [1].
-	e.Row(0, row)
-	want := []float64{1, 0, 0, 1}
-	for i := range want {
-		if row[i] != want[i] {
-			t.Fatalf("row0 = %v", row)
-		}
-	}
-	// Row 3: Age=3 (last category → zeros); Gender=1 (last → zero).
-	e.Row(3, row)
-	for i, v := range row {
-		if v != 0 {
-			t.Fatalf("last-category encoding nonzero at %d: %v", i, row)
-		}
-	}
-	mat := e.Matrix()
-	if len(mat) != m.NumRows() || len(mat[0]) != e.Dims {
-		t.Fatal("Matrix shape wrong")
-	}
-}
-
-func TestVCDimensionLinear(t *testing.T) {
-	d := churn()
-	m, _ := d.Materialize(d.JoinAllPlan())
-	// All 5 features: 1 + (4-1)+(2-1)+(4-1)+(3-1)+(2-1) = 1+3+1+3+2+1 = 11.
-	all := []int{0, 1, 2, 3, 4}
-	if v := VCDimensionLinear(m, all); v != 11 {
-		t.Fatalf("VC dim = %d, want 11", v)
-	}
-	if v := VCDimensionLinear(m, nil); v != 1 {
-		t.Fatalf("VC dim of empty set = %d, want 1", v)
-	}
-}

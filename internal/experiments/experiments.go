@@ -118,42 +118,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Cell looks up a cell by row index and column name; it returns "" when the
-// column is absent or the row is out of range. Tests use this to assert on
-// artifact content without caring about column positions.
-func (t *Table) Cell(row int, column string) string {
-	if row < 0 || row >= len(t.Rows) {
-		return ""
-	}
-	for i, c := range t.Columns {
-		if c == column {
-			return t.Rows[row][i]
-		}
-	}
-	return ""
-}
-
-// FindRow returns the index of the first row whose cell in the given column
-// equals value, or -1.
-func (t *Table) FindRow(column, value string) int {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return -1
-	}
-	for ri, row := range t.Rows {
-		if row[ci] == value {
-			return ri
-		}
-	}
-	return -1
-}
-
 // f formats a float for table cells.
 func f(v float64) string { return fmt.Sprintf("%.4f", v) }
 
@@ -173,17 +137,6 @@ func (r *Result) WriteText(w io.Writer) error {
 	for _, t := range r.Tables {
 		if err := t.WriteText(w); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// TableByTitle returns the first table whose title contains the substring,
-// or nil.
-func (r *Result) TableByTitle(sub string) *Table {
-	for _, t := range r.Tables {
-		if strings.Contains(t.Title, sub) {
-			return t
 		}
 	}
 	return nil

@@ -11,6 +11,53 @@ import (
 // that are robust at this depth.
 var testBudget = Budget{Worlds: 2, L: 6, NTest: 200, MimicScale: 0.02, Seed: 1}
 
+// Cell looks up a cell by row index and column name; it returns "" when the
+// column is absent or the row is out of range. Tests use this to assert on
+// artifact content without caring about column positions.
+func (t *Table) Cell(row int, column string) string {
+	if row < 0 || row >= len(t.Rows) {
+		return ""
+	}
+	for i, c := range t.Columns {
+		if c == column {
+			return t.Rows[row][i]
+		}
+	}
+	return ""
+}
+
+// FindRow returns the index of the first row whose cell in the given column
+// equals value, or -1.
+func (t *Table) FindRow(column, value string) int {
+	ci := -1
+	for i, c := range t.Columns {
+		if c == column {
+			ci = i
+			break
+		}
+	}
+	if ci < 0 {
+		return -1
+	}
+	for ri, row := range t.Rows {
+		if row[ci] == value {
+			return ri
+		}
+	}
+	return -1
+}
+
+// TableByTitle returns the first table whose title contains the substring,
+// or nil.
+func (r *Result) TableByTitle(sub string) *Table {
+	for _, t := range r.Tables {
+		if strings.Contains(t.Title, sub) {
+			return t
+		}
+	}
+	return nil
+}
+
 func cellF(t *testing.T, tab *Table, row int, col string) float64 {
 	t.Helper()
 	s := tab.Cell(row, col)

@@ -133,27 +133,6 @@ func (mod *Model) Predict(m *dataset.Design, row int) int32 {
 	return int32(best)
 }
 
-// Probs returns the softmax class distribution for the given row.
-func (mod *Model) Probs(m *dataset.Design, row int) []float64 {
-	active := mod.activeDims(m, row, make([]int, 0, len(mod.Features)))
-	sc := make([]float64, mod.NumClasses)
-	mod.scores(active, sc)
-	softmaxInPlace(sc)
-	return sc
-}
-
-// NonzeroWeights returns the number of weights with |w| above tol; under L1
-// this measures the sparsity of the embedded selection.
-func (mod *Model) NonzeroWeights(tol float64) int {
-	n := 0
-	for _, w := range mod.W {
-		if math.Abs(w) > tol {
-			n++
-		}
-	}
-	return n
-}
-
 // FeatureActive reports whether any indicator weight of the given design
 // feature (by its position in mod.Features) survives L1 at the tolerance:
 // the embedded analogue of "the feature was selected".

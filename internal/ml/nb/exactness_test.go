@@ -7,6 +7,28 @@ import (
 	"hamlet/internal/dataset"
 )
 
+// Posterior returns the normalized class posterior for the given row;
+// useful for tests and calibration studies.
+func (mod *Model) Posterior(m *dataset.Design, row int) []float64 {
+	logs := make([]float64, mod.stats.NumClasses)
+	maxLog := math.Inf(-1)
+	for c := range logs {
+		logs[c] = mod.score(m, row, c)
+		if logs[c] > maxLog {
+			maxLog = logs[c]
+		}
+	}
+	total := 0.0
+	for c := range logs {
+		logs[c] = math.Exp(logs[c] - maxLog)
+		total += logs[c]
+	}
+	for c := range logs {
+		logs[c] /= total
+	}
+	return logs
+}
+
 // TestPosteriorMatchesHandComputation pins the smoothed NB posterior to a
 // hand-computed value on a fixed instance, guarding the exact smoothing
 // arithmetic (add-one on both priors and likelihoods).

@@ -129,28 +129,6 @@ func (mod *Model) Predict(m *dataset.Design, row int) int32 {
 	return best
 }
 
-// Posterior returns the normalized class posterior for the given row;
-// useful for tests and calibration studies.
-func (mod *Model) Posterior(m *dataset.Design, row int) []float64 {
-	logs := make([]float64, mod.stats.NumClasses)
-	maxLog := math.Inf(-1)
-	for c := range logs {
-		logs[c] = mod.score(m, row, c)
-		if logs[c] > maxLog {
-			maxLog = logs[c]
-		}
-	}
-	total := 0.0
-	for c := range logs {
-		logs[c] = math.Exp(logs[c] - maxLog)
-		total += logs[c]
-	}
-	for c := range logs {
-		logs[c] /= total
-	}
-	return logs
-}
-
 // checkSubset validates a feature subset and smoothing pseudo-count against
 // the statistics: indices first, then alpha.
 func checkSubset(s *Stats, features []int, alpha float64) error {

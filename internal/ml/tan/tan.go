@@ -52,10 +52,6 @@ type Model struct {
 	NumClasses int
 }
 
-// ParentOf returns the position (within the model's feature list) of feature
-// j's parent, or -1 if j is the root. Exposed for structure tests.
-func (mod *Model) ParentOf(j int) int { return mod.Parent[j] }
-
 // Predict implements ml.Model.
 func (mod *Model) Predict(m *dataset.Design, row int) int32 {
 	best := int32(0)

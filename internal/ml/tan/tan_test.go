@@ -68,7 +68,7 @@ func TestTreeIsSpanningAndAcyclic(t *testing.T) {
 	tm := mod.(*Model)
 	roots := 0
 	for j := range feats {
-		p := tm.ParentOf(j)
+		p := tm.Parent[j]
 		if p == -1 {
 			roots++
 			continue
@@ -89,7 +89,7 @@ func TestTreeIsSpanningAndAcyclic(t *testing.T) {
 				t.Fatalf("cycle through feature %d", j)
 			}
 			seen[cur] = true
-			cur = tm.ParentOf(cur)
+			cur = tm.Parent[cur]
 		}
 	}
 }
@@ -138,8 +138,8 @@ func TestForeignFeaturesAttachToFK(t *testing.T) {
 	// because it is scanned first.
 	for j := 1; j <= 2; j++ {
 		cur := j
-		for tm.ParentOf(cur) != -1 {
-			cur = tm.ParentOf(cur)
+		for tm.Parent[cur] != -1 {
+			cur = tm.Parent[cur]
 		}
 		if cur != 0 {
 			t.Fatalf("foreign feature %d does not descend from FK", j)

@@ -31,8 +31,8 @@ import (
 // (durations, sizes, counts).
 //
 // The zero cost rules of the package hold: a nil *Histogram no-ops, and
-// enabled-path Observe is a handful of atomic ops with no allocation (both
-// pinned by tests).
+// Observe is a handful of atomic ops with no allocation (both pinned by
+// tests).
 type Histogram struct {
 	precision uint
 	buckets   []atomic.Int64
@@ -83,9 +83,9 @@ func bucketUpper(idx int, p uint) int64 {
 	return int64((1<<p+j+1)<<(e-1) - 1)
 }
 
-// Observe records one value when the metrics layer is enabled.
+// Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	if v < 0 {
@@ -106,14 +106,6 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram: sparse bucket
@@ -160,6 +152,29 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		}
 	}
 	return s
+}
+
+// Validate checks a snapshot read from outside the process against the
+// bucket layout that Quantile and CountAtOrBelow assume: precision in
+// [0, MaxPrecision], every bucket index in [0, (64-p)·2^p), and no
+// negative count.
+func (s HistogramSnapshot) Validate() error {
+	if s.Precision < 0 || s.Precision > MaxPrecision {
+		return fmt.Errorf("obs: histogram precision %d outside [0, %d]", s.Precision, MaxPrecision)
+	}
+	if s.Count < 0 {
+		return fmt.Errorf("obs: histogram count %d is negative", s.Count)
+	}
+	n := (64 - s.Precision) << s.Precision
+	for i, c := range s.Buckets {
+		if i < 0 || i >= n {
+			return fmt.Errorf("obs: histogram bucket %d outside [0, %d) at precision %d", i, n, s.Precision)
+		}
+		if c < 0 {
+			return fmt.Errorf("obs: histogram bucket %d has negative count %d", i, c)
+		}
+	}
+	return nil
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]) as the inclusive upper

@@ -114,9 +114,44 @@ func TestHistogramEmptySnapshot(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotValidate: every snapshot a histogram can produce is
+// valid, down to the last bucket at each precision limit, and a snapshot
+// whose precision, bucket indices or counts fall outside the layout is not.
+func TestHistogramSnapshotValidate(t *testing.T) {
+	for _, p := range []int{0, DefaultPrecision, MaxPrecision} {
+		h := NewHistogram(p)
+		for _, v := range []int64{0, 1, 1000, math.MaxInt64} {
+			h.Observe(v)
+		}
+		if err := h.Snapshot().Validate(); err != nil {
+			t.Errorf("precision %d: valid snapshot rejected: %v", p, err)
+		}
+	}
+	valid := func() HistogramSnapshot {
+		h := NewHistogram(DefaultPrecision)
+		h.Observe(100)
+		return h.Snapshot()
+	}
+	last := (64 - DefaultPrecision) << DefaultPrecision
+	for name, tamper := range map[string]func(*HistogramSnapshot){
+		"precision -10":        func(s *HistogramSnapshot) { s.Precision = -10 },
+		"precision above max":  func(s *HistogramSnapshot) { s.Precision = MaxPrecision + 1 },
+		"negative bucket":      func(s *HistogramSnapshot) { s.Buckets[-1] = 1 },
+		"bucket past layout":   func(s *HistogramSnapshot) { s.Buckets[last] = 1 },
+		"negative bucket size": func(s *HistogramSnapshot) { s.Buckets[0] = -1 },
+		"negative count":       func(s *HistogramSnapshot) { s.Count = -1 },
+	} {
+		s := valid()
+		tamper(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", name, s)
+		}
+	}
+}
+
 // The latency hot path contract: Observe must stay off the allocator both
-// when enabled (the loadgen per-request path) and on the nil receiver (the
-// obs-off path). Mirrors the nil *EventLog / *RunDir pins.
+// on a live histogram (the loadgen per-request path) and on the nil
+// receiver. Mirrors the nil *EventLog / *RunDir pins.
 func TestHistogramObserveAllocFree(t *testing.T) {
 	h := NewHistogram(DefaultPrecision)
 	v := int64(0)
@@ -124,7 +159,7 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 		h.Observe(v)
 		v += 997
 	}); n != 0 {
-		t.Errorf("enabled Observe allocates %.1f/op, want 0", n)
+		t.Errorf("Observe allocates %.1f/op, want 0", n)
 	}
 	var nilH *Histogram
 	if n := testing.AllocsPerRun(500, func() {

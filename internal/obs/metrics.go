@@ -11,9 +11,9 @@ type Counter struct {
 	n atomic.Int64
 }
 
-// Add increments the counter when the metrics layer is enabled.
+// Add increments the counter.
 func (c *Counter) Add(delta int64) {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.n.Add(delta)
@@ -30,33 +30,11 @@ func (c *Counter) Value() int64 {
 	return c.n.Load()
 }
 
-// Gauge is a last-value-wins process-wide metric.
-type Gauge struct {
-	n atomic.Int64
-}
-
-// Set records the current value when the metrics layer is enabled.
-func (g *Gauge) Set(v int64) {
-	if g == nil || !enabled.Load() {
-		return
-	}
-	g.n.Store(v)
-}
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.n.Load()
-}
-
 // Registry is a named collection of metrics. Metrics are created on first
 // use and live for the life of the process.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -64,7 +42,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -86,18 +63,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it at DefaultPrecision on
 // first use. Histograms needing a different precision are built directly
 // with NewHistogram (e.g. cmd/loadgen's per-worker latency shards).
@@ -112,17 +77,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot renders every metric into a JSON-marshalable map: counters and
-// gauges as numbers, histograms as HistogramSnapshot.
+// Snapshot renders every metric into a JSON-marshalable map: counters as
+// numbers, histograms as HistogramSnapshot.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.histograms))
+	out := make(map[string]any, len(r.counters)+len(r.histograms))
 	for name, c := range r.counters {
 		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
 	}
 	for name, h := range r.histograms {
 		out[name] = h.Snapshot()
@@ -135,9 +97,6 @@ func (r *Registry) Snapshot() map[string]any {
 //
 //	var joins = obs.C("relational.joins")
 func C(name string) *Counter { return Default.Counter(name) }
-
-// G returns a gauge from the Default registry.
-func G(name string) *Gauge { return Default.Gauge(name) }
 
 // H returns a histogram from the Default registry.
 func H(name string) *Histogram { return Default.Histogram(name) }

@@ -11,12 +11,11 @@
 //
 // Design rules:
 //
-//   - Zero cost when disabled. All *Span methods are nil-receiver no-ops, so
-//     un-traced code paths pay one predictable nil check. Metric updates are
-//     single atomic ops gated on a global enable flag; SetEnabled(false)
-//     turns them into a load-and-return. Both paths are benchmarked (see
-//     bench_test.go here and BenchmarkForwardSelectionObsOff at the repo
-//     root).
+//   - Zero cost when off. All *Span, *RunDir and *EventLog methods are
+//     nil-receiver no-ops, so an un-traced run (nil span) without -out (nil
+//     run dir) pays one predictable nil check per call site. Metrics are
+//     always on: each update is a few atomic ops with no allocation (see
+//     bench_test.go).
 //   - Stdlib only: time, sync/atomic, log/slog, net/http/pprof. No
 //     external dependencies, matching the rest of the repository.
 //   - Metrics are process-wide (Default registry) because the hot paths
@@ -24,18 +23,3 @@
 //     thread a handle through; spans are explicit values threaded through
 //     APIs because their nesting is the information.
 package obs
-
-import "sync/atomic"
-
-// enabled gates all metric updates. Spans are gated by nil-ness instead.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns the metrics layer on or off process-wide. Disabled
-// metrics cost one atomic load per update site. Spans are unaffected: a nil
-// span is always free, a live span always records.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether the metrics layer is recording.
-func Enabled() bool { return enabled.Load() }

@@ -104,23 +104,3 @@ func (p *Progress) emit(now time.Time) {
 	fmt.Fprintln(p.w, line)
 	p.events.Progress(p.label, p.done, p.total)
 }
-
-// Done returns the completed unit count (0 on nil).
-func (p *Progress) Done() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.done
-}
-
-// Total returns the currently-known total (0 on nil).
-func (p *Progress) Total() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total
-}

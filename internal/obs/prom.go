@@ -68,9 +68,8 @@ func promEscape(s string) string {
 }
 
 // PromWriter streams exposition lines to w. Methods are fire-and-forget; the
-// first write error sticks and every later call no-ops, so callers check
-// Err once at the end (the HTTP handler pattern). Not safe for concurrent
-// use.
+// first write error sticks and every later call no-ops, so a scrape whose
+// client went away stops writing. Not safe for concurrent use.
 type PromWriter struct {
 	w     io.Writer
 	typed map[string]bool
@@ -81,9 +80,6 @@ type PromWriter struct {
 func NewPromWriter(w io.Writer) *PromWriter {
 	return &PromWriter{w: w, typed: make(map[string]bool)}
 }
-
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
 
 // write emits one raw line.
 func (p *PromWriter) write(line string) {
@@ -165,24 +161,19 @@ func (p *PromWriter) Histogram(name string, labels []string, cum HistogramSnapsh
 }
 
 // WriteProm renders every registered metric under "hamlet_" + PromName:
-// counters and gauges as one sample each, histograms in the histogram
+// counters as one sample each, histograms in the histogram
 // format in their observed units (registry histograms count rows and
 // evaluations, not time). Names are sorted so successive scrapes line up.
 // Values are read after the registry lock is released, so a slow scraper
 // never blocks metric creation.
 func (r *Registry) WriteProm(p *PromWriter) {
 	r.mu.Lock()
-	counters, gauges, hists := sortedMetrics(r.counters), sortedMetrics(r.gauges), sortedMetrics(r.histograms)
+	counters, hists := sortedMetrics(r.counters), sortedMetrics(r.histograms)
 	r.mu.Unlock()
 	for _, c := range counters {
 		name := "hamlet_" + PromName(c.name)
 		p.Type(name, "counter", "")
 		p.Int(name, nil, c.m.Value())
-	}
-	for _, g := range gauges {
-		name := "hamlet_" + PromName(g.name)
-		p.Type(name, "gauge", "")
-		p.Int(name, nil, g.m.Value())
 	}
 	for _, h := range hists {
 		name := "hamlet_" + PromName(h.name)

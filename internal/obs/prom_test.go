@@ -23,6 +23,9 @@ func TestPromName(t *testing.T) {
 	}
 }
 
+// Err returns the first write error, if any.
+func (p *PromWriter) Err() error { return p.err }
+
 func TestPromWriterScalarsAndEscaping(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)
@@ -94,13 +97,12 @@ func TestPromWriterHistogram(t *testing.T) {
 }
 
 // TestRegistryWriteProm pins the registry's exposition: every metric under
-// hamlet_<PromName>, sorted by name within counters, gauges, then
-// histograms, with histograms in raw observed units.
+// hamlet_<PromName>, sorted by name within counters, then histograms, with
+// histograms in raw observed units.
 func TestRegistryWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(1)
 	r.Counter("a.count").Add(3)
-	r.Gauge("b.gauge").Set(-2)
 	r.Histogram("c.hist").Observe(1)
 	r.Histogram("c.hist").Observe(5)
 	var b strings.Builder
@@ -113,8 +115,6 @@ func TestRegistryWriteProm(t *testing.T) {
 hamlet_a_count 3
 # TYPE hamlet_z_last counter
 hamlet_z_last 1
-# TYPE hamlet_b_gauge gauge
-hamlet_b_gauge -2
 # TYPE hamlet_c_hist histogram
 hamlet_c_hist_bucket{le="1"} 1
 hamlet_c_hist_bucket{le="5"} 2

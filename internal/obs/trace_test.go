@@ -87,6 +87,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"zero span id":  valid[:36] + "0000000000000000-00",
 		"bad trace hex": "00-" + strings.Repeat("zz", 16) + valid[35:],
 		"bad flags hex": valid[:53] + "zz",
+		"uppercase hex": "00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",
 	}
 	for name, in := range cases {
 		if _, err := ParseTraceparent(in); err == nil {
@@ -98,6 +99,28 @@ func TestParseTraceparentRejects(t *testing.T) {
 	if _, err := ParseTraceparent(future); err != nil {
 		t.Errorf("future version %q rejected: %v", future, err)
 	}
+}
+
+// FuzzParseTraceparent: the decoder of a header every client controls must
+// never panic, and any header it accepts must re-encode to the same
+// trace-id, parent-id and flags, so the caller's trace ID and the server's
+// traces.jsonl record match as strings.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01")
+	f.Add("ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0")
+	f.Add("cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-what-the-future-will-be-like")
+	f.Add("00-00000000000000000000000000000000-0000000000000000-00")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if got := tc.Traceparent(); got[3:55] != s[3:55] {
+			t.Errorf("ParseTraceparent(%q) re-encodes as %q", s, got)
+		}
+	})
 }
 
 func TestSamplerHeadDecisionDeterministic(t *testing.T) {
@@ -291,6 +314,36 @@ func TestTraceLogAppendReadBack(t *testing.T) {
 	}
 	if got[1].ParentSpanID != recs[1].ParentSpanID {
 		t.Errorf("server record lost parent_span_id: %+v", got[1])
+	}
+}
+
+// TestTraceLogAppendAfterCloseKeepsFile: a handler that outlives the drain
+// appends after RunDir.Close. That append must fail and leave the traces
+// already persisted in place, not re-create the file.
+func TestTraceLogAppendAfterCloseKeepsFile(t *testing.T) {
+	dir := t.TempDir()
+	run, err := OpenRunDir(dir, &RunInfo{Tool: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := TraceRecord{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8), Kind: TraceKindServer}
+	for i := 0; i < 3; i++ {
+		if err := run.Traces().Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run.Close(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Traces().Append(rec); err == nil {
+		t.Error("Append after Close returned no error")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, TracesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 3 {
+		t.Errorf("traces.jsonl has %d lines after a late Append, want 3", n)
 	}
 }
 

@@ -126,7 +126,8 @@ func (tc TraceContext) Traceparent() string {
 // ParseTraceparent decodes a W3C traceparent header value. Per the spec's
 // forward-compatibility rule, any version except the reserved "ff" is
 // accepted as long as the version-00 fixed-length layout parses and both
-// IDs are non-zero.
+// IDs are non-zero. Every field must be lowercase hex, as the spec defines
+// it, so an accepted header re-encodes to the same trace ID string.
 func ParseTraceparent(s string) (TraceContext, error) {
 	var tc TraceContext
 	if len(s) < 55 {
@@ -136,7 +137,7 @@ func ParseTraceparent(s string) (TraceContext, error) {
 		return tc, fmt.Errorf("obs: traceparent %q: malformed field separators", s)
 	}
 	var ver [1]byte
-	if _, err := hex.Decode(ver[:], []byte(s[0:2])); err != nil {
+	if err := decodeLowerHex(ver[:], s[0:2]); err != nil {
 		return tc, fmt.Errorf("obs: traceparent %q: bad version: %w", s, err)
 	}
 	if ver[0] == 0xff {
@@ -145,14 +146,14 @@ func ParseTraceparent(s string) (TraceContext, error) {
 	if ver[0] == 0 && len(s) != 55 {
 		return tc, fmt.Errorf("obs: traceparent %q: version 00 must be exactly 55 chars", s)
 	}
-	if _, err := hex.Decode(tc.TraceID[:], []byte(s[3:35])); err != nil {
+	if err := decodeLowerHex(tc.TraceID[:], s[3:35]); err != nil {
 		return tc, fmt.Errorf("obs: traceparent %q: bad trace-id: %w", s, err)
 	}
-	if _, err := hex.Decode(tc.SpanID[:], []byte(s[36:52])); err != nil {
+	if err := decodeLowerHex(tc.SpanID[:], s[36:52]); err != nil {
 		return tc, fmt.Errorf("obs: traceparent %q: bad parent-id: %w", s, err)
 	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
+	if err := decodeLowerHex(flags[:], s[53:55]); err != nil {
 		return tc, fmt.Errorf("obs: traceparent %q: bad flags: %w", s, err)
 	}
 	tc.Flags = flags[0]
@@ -160,4 +161,29 @@ func ParseTraceparent(s string) (TraceContext, error) {
 		return TraceContext{}, fmt.Errorf("obs: traceparent %q: all-zero trace-id or parent-id", s)
 	}
 	return tc, nil
+}
+
+// lowerHexTable maps each lowercase hex digit to its value and every other
+// byte, uppercase digits included, to 0xff.
+const (
+	ffRow         = "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"
+	lowerHexTable = ffRow + ffRow + ffRow +
+		"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\xff\xff\xff\xff\xff\xff" + // '0'-'9'
+		ffRow + ffRow +
+		"\xff\x0a\x0b\x0c\x0d\x0e\x0f\xff\xff\xff\xff\xff\xff\xff\xff\xff" + // 'a'-'f'
+		ffRow + ffRow + ffRow + ffRow + ffRow + ffRow + ffRow + ffRow + ffRow
+)
+
+// decodeLowerHex decodes src, which holds 2·len(dst) characters, into dst,
+// refusing the uppercase digits that hex.Decode would accept. It keeps
+// hex.Decode's table-driven loop, so parsing costs no more.
+func decodeLowerHex(dst []byte, src string) error {
+	for i, j := 0, 1; j < len(src); i, j = i+1, j+2 {
+		hi, lo := lowerHexTable[src[j-1]], lowerHexTable[src[j]]
+		if hi > 0x0f || lo > 0x0f {
+			return fmt.Errorf("%q is not lowercase hex", src)
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return nil
 }

@@ -48,11 +48,15 @@ type TraceLog struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
-	n    atomic.Int64
+	// closed is set by close: a handler that outlived the drain must not
+	// re-create (and so truncate) the file the run already persisted.
+	closed bool
+	n      atomic.Int64
 }
 
 // Append writes rec as one JSONL line, stamping the schema version. Nil
-// receivers no-op.
+// receivers no-op; after the run dir closes, Append fails and leaves the
+// file alone.
 func (t *TraceLog) Append(rec TraceRecord) error {
 	if t == nil {
 		return nil
@@ -64,6 +68,9 @@ func (t *TraceLog) Append(rec TraceRecord) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return fmt.Errorf("obs: append to %s after its run dir closed", TracesFile)
+	}
 	if t.f == nil {
 		f, err := os.Create(t.path)
 		if err != nil {
@@ -93,6 +100,7 @@ func (t *TraceLog) close() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.closed = true
 	if t.f == nil {
 		return nil
 	}

@@ -4,7 +4,9 @@
 // row counts and domain minima — see core.DatasetStats). Generation and the
 // statistics scan happen once per (name, scale, seed); after that a decision
 // request is pure arithmetic over the cached statistics and never rescans
-// data. cmd/advisord serves this hot path over HTTP and cmd/loadgen drives it.
+// data: callers answer it with core.Advisor.DecideFromStats on Entry.Stats.
+// Every entry is a generated mimic; Get is the only way in. cmd/advisord
+// serves this hot path over HTTP and cmd/loadgen drives it.
 package registry
 
 import (
@@ -22,15 +24,10 @@ import (
 // sufficient statistics. Entries are immutable after construction and safe
 // to share across request workers.
 type Entry struct {
-	// Dataset is the generated (or loaded) normalized dataset.
+	// Dataset is the generated normalized dataset.
 	Dataset *dataset.Dataset
 	// Stats is the advisor's cached one-scan view of the dataset.
 	Stats *core.DatasetStats
-}
-
-// Decide answers one advisor request from the cached statistics.
-func (e *Entry) Decide(adv *core.Advisor) ([]core.Decision, error) {
-	return adv.DecideFromStats(e.Stats)
 }
 
 // Key identifies one cached dataset: the (name, scale, seed) tuple Get
@@ -38,8 +35,7 @@ func (e *Entry) Decide(adv *core.Advisor) ([]core.Decision, error) {
 // consumers (the advisord /v1/datasets endpoint, tests) can enumerate what
 // is loaded without reaching into internals.
 type Key struct {
-	// Name is the mimic name ("Walmart", ...; Add-ed datasets keep their
-	// own name with zero Scale and Seed).
+	// Name is the mimic name ("Walmart", ...).
 	Name string
 	// Scale is the generation scale in (0, 1].
 	Scale float64
@@ -148,24 +144,6 @@ func (r *Registry) Keys() []Key {
 		return keys[i].Seed < keys[j].Seed
 	})
 	return keys
-}
-
-// Add caches a caller-supplied dataset (e.g. one loaded from a schema spec)
-// under its own name, collecting its statistics. Scale and seed are recorded
-// as zero. Replaces any previous entry with the same name.
-func (r *Registry) Add(d *dataset.Dataset) (*Entry, error) {
-	stats, err := core.CollectStats(d)
-	if err != nil {
-		return nil, fmt.Errorf("registry: collect stats for %q: %w", d.Name, err)
-	}
-	e := &Entry{Dataset: d, Stats: stats}
-	slot := &entrySlot{entry: e}
-	slot.once.Do(func() {}) // mark resolved
-	slot.done.Store(true)
-	r.mu.Lock()
-	r.entries[key{name: d.Name}] = slot
-	r.mu.Unlock()
-	return e, nil
 }
 
 // build generates the mimic and collects its statistics.

@@ -72,7 +72,7 @@ func TestEntryDecideMatchesFreshAdvisor(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		adv := core.NewAdvisor()
-		cached, err := e.Decide(adv)
+		cached, err := adv.DecideFromStats(e.Stats)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -237,25 +237,5 @@ func TestConcurrentFailingGetsAllError(t *testing.T) {
 		if !errors.Is(err, shared) {
 			t.Fatalf("caller %d: got %v, want the shared in-flight build's error", i, err)
 		}
-	}
-}
-
-func TestAddCachesLoadedDataset(t *testing.T) {
-	r := New()
-	base, err := r.Get("Walmart", 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := r.Add(base.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e.Stats, base.Stats) {
-		t.Error("Add recollected different statistics for the same dataset")
-	}
-	// Add-ed datasets enumerate under their own name with zero scale/seed.
-	want := []Key{{Name: "Walmart"}, {Name: "Walmart", Scale: 0.05, Seed: 1}}
-	if got := r.Keys(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Keys after Add = %v, want %v", got, want)
 	}
 }

@@ -90,6 +90,10 @@ func Join(s *Table, fkName string, r *Table) (*Table, error) {
 // JoinAll materializes joins of the entity table with each attribute table in
 // turn. fks[i].Refs must name a key of attrs. Tables are joined in the order
 // of fks.
+//
+// JoinAll is the reference join chain that dataset tests compare
+// Dataset.Materialize against: materializeViaJoin in dataset_test.go and
+// FuzzMaterialize in fuzz_test.go.
 func JoinAll(s *Table, fks []ForeignKey, attrs map[string]*Table) (*Table, error) {
 	cur := s
 	for _, fk := range fks {
@@ -133,33 +137,4 @@ func HoldsFD(t *Table, det, dep string) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// DistinctJointValues returns the number of distinct value combinations of
-// the named columns in the table. This is the quantity q_R of §4.2 — the
-// number of unique values of U_R taken jointly in R — which upper-bounds the
-// VC dimension of any classifier restricted to those features.
-func DistinctJointValues(t *Table, names ...string) (int, error) {
-	cols := make([]*Column, len(names))
-	for i, n := range names {
-		c := t.Column(n)
-		if c == nil {
-			return 0, fmt.Errorf("relational: distinct: no column %q", n)
-		}
-		cols[i] = c
-	}
-	if len(cols) == 0 {
-		return 0, nil
-	}
-	seen := make(map[string]struct{})
-	key := make([]byte, 0, len(cols)*4)
-	for row := 0; row < t.NumRows(); row++ {
-		key = key[:0]
-		for _, c := range cols {
-			v := c.Data[row]
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		seen[string(key)] = struct{}{}
-	}
-	return len(seen), nil
 }

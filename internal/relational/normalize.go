@@ -51,8 +51,6 @@ func (s attrSet) sorted() []string {
 	return out
 }
 
-func (s attrSet) key() string { return strings.Join(s.sorted(), "\x00") }
-
 // Closure returns the attribute closure attrs⁺ under the FD set: every
 // attribute functionally determined by attrs. The result includes attrs
 // itself and is sorted.

@@ -280,52 +280,6 @@ func TestHoldsFDNegative(t *testing.T) {
 	}
 }
 
-func TestDistinctJointValues(t *testing.T) {
-	tab := NewTable("R")
-	tab.MustAddColumn(mkCol("a", 2, 0, 0, 1, 1))
-	tab.MustAddColumn(mkCol("b", 2, 0, 0, 0, 1))
-	n, err := DistinctJointValues(tab, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("distinct joint values = %d, want 3", n)
-	}
-	n, err = DistinctJointValues(tab, "a")
-	if err != nil || n != 2 {
-		t.Fatalf("distinct single = %d (%v), want 2", n, err)
-	}
-	if _, err := DistinctJointValues(tab, "zz"); err == nil {
-		t.Fatal("missing column accepted")
-	}
-	if n, _ := DistinctJointValues(tab); n != 0 {
-		t.Fatal("no columns should give 0 distinct values")
-	}
-}
-
-// TestDistinctBoundsVC verifies the §3.2 inequality |D_FK| >= r where r is
-// the number of distinct X_R vectors: since RID is a key, distinct joint
-// values of R's features can never exceed R's row count.
-func TestDistinctBoundsVC(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		rr := stats.NewRNG(seed)
-		nR := 1 + rr.IntN(50)
-		r := NewTable("R")
-		a := make([]int32, nR)
-		b := make([]int32, nR)
-		for i := range a {
-			a[i] = int32(rr.IntN(3))
-			b[i] = int32(rr.IntN(3))
-		}
-		r.MustAddColumn(&Column{Name: "a", Card: 3, Data: a})
-		r.MustAddColumn(&Column{Name: "b", Card: 3, Data: b})
-		q, err := DistinctJointValues(r, "a", "b")
-		return err == nil && q <= nR && q >= 1
-	}, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCheckRefNil(t *testing.T) {
 	r := NewTable("R")
 	r.MustAddColumn(mkCol("f", 2, 0, 1))

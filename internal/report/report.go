@@ -48,8 +48,8 @@ type Run struct {
 	// Traces holds traces.jsonl in line order (nil when the run kept no
 	// sampled traces — the file is only created on the first kept trace).
 	Traces []TraceLine
-	// Metrics holds metrics.json's scalar values — counters and gauges by
-	// name. Histogram entries are skipped (Histograms carries the latency
+	// Metrics holds metrics.json's scalar values — counters by name.
+	// Histogram entries are skipped (Histograms carries the latency
 	// series). Nil when the artifact is absent.
 	Metrics map[string]float64
 }
@@ -171,7 +171,8 @@ func loadTraceLines(path string) ([]TraceLine, error) {
 }
 
 // loadHistograms parses histograms.json (nil with a nil error when absent —
-// the artifact is additive; only loadgen runs write it).
+// the artifact is additive; only loadgen runs write it) and rejects any
+// snapshot whose layout the quantile and SLO arithmetic cannot trust.
 func loadHistograms(path string) (map[string]obs.HistogramSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -186,6 +187,11 @@ func loadHistograms(path string) (map[string]obs.HistogramSnapshot, error) {
 	}
 	if err := obs.CheckSchemaVersion(art.SchemaVersion); err != nil {
 		return nil, fmt.Errorf("report: %s: %w", path, err)
+	}
+	for name, h := range art.Histograms {
+		if err := h.Validate(); err != nil {
+			return nil, fmt.Errorf("report: %s: histogram %q: %w", path, name, err)
+		}
 	}
 	return art.Histograms, nil
 }

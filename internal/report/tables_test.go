@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestTablesGroupingAndOrder(t *testing.T) {
 		t.Fatalf("fig7 table order = %+v", results[0].Tables)
 	}
 	b := results[0].Tables[0]
-	if len(b.Rows) != 2 || b.Cell(0, "v") != "0.1000" || b.Cell(1, "k") != "2" {
+	if len(b.Rows) != 2 || !slices.Equal(b.Columns, []string{"k", "v"}) || b.Rows[0][1] != "0.1000" || b.Rows[1][0] != "2" {
 		t.Errorf("table B rows = %+v", b.Rows)
 	}
 }

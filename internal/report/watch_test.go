@@ -68,9 +68,6 @@ func TestParsePromTextRoundTrip(t *testing.T) {
 	p.Int("req_total", nil, 100)
 	p.Histogram("lat_seconds", []string{"endpoint", "decide"}, snap, 1e-9)
 	p.Histogram("dur_seconds", nil, snap, 1e-9)
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
 	samples, err := ParsePromText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("parser rejected PromWriter output: %v\n%s", err, b.String())

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -130,62 +132,119 @@ func TestDecideBatch(t *testing.T) {
 	}
 }
 
-// TestDecideAvoidTableOverHTTP: the §5 avoid/keep table served over
-// /v1/decide is the in-process advisor's, decision for decision, under both
-// rules: every mimic at scale 0.02, seed 3, in one batch.
+// TestDecideAvoidTableOverHTTP: every decision path answers the committed
+// §5 conformance table, testdata/conformance.json, decision for decision:
+// the in-process Advisor.Decide on spec.Generate, the server's registry Get
+// followed by DecideFromStats, and POST /v1/decide. It covers every mimic
+// under both rules at scales 0.02 and 0.1 and seeds 1 and 3. At scale 0.02,
+// seed 3 the TR rule avoids the paper's 7 joins and never considers the
+// open-domain Searches FK.
 func TestDecideAvoidTableOverHTTP(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
-	mimics := synth.Mimics()
+	type key struct {
+		dataset, rule string
+		scale         float64
+		seed          uint64
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "conformance.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Result
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	table := make(map[key]Result, len(rows))
+	for _, r := range rows {
+		table[key{r.Dataset, r.Rule, r.Scale, r.Seed}] = r
+	}
+
+	s, ts := newTestServer(t, testConfig())
 	rules := []core.Rule{core.TRRule, core.RORRule}
 	var queries []Query
-	for _, rule := range rules {
-		for _, m := range mimics {
-			queries = append(queries, Query{Dataset: m.Name, Scale: 0.02, Seed: 3, Rule: rule.String()})
+	var keys []key
+	avoided := 0
+	for _, scale := range []float64{0.02, 0.1} {
+		for _, seed := range []uint64{1, 3} {
+			for _, m := range synth.Mimics() {
+				d, err := m.Generate(scale, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rule := range rules {
+					k := key{m.Name, rule.String(), scale, seed}
+					want, ok := table[k]
+					if !ok {
+						t.Fatalf("%+v missing from the conformance table", k)
+					}
+					queries = append(queries, Query{Dataset: m.Name, Scale: scale, Seed: seed, Rule: rule.String()})
+					keys = append(keys, k)
+
+					adv := &core.Advisor{Rule: rule}
+					decs, err := adv.Decide(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := wireDecisions(decs); !reflect.DeepEqual(got, want.Decisions) {
+						t.Errorf("%+v: Advisor.Decide = %+v, table %+v", k, got, want.Decisions)
+					}
+					e, err := s.Registry().Get(m.Name, scale, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if decs, err = adv.DecideFromStats(e.Stats); err != nil {
+						t.Fatal(err)
+					}
+					if got := wireDecisions(decs); !reflect.DeepEqual(got, want.Decisions) {
+						t.Errorf("%+v: registry + DecideFromStats = %+v, table %+v", k, got, want.Decisions)
+					}
+
+					if scale != 0.02 || seed != 3 || rule != core.TRRule {
+						continue
+					}
+					for _, dec := range want.Decisions {
+						if dec.Avoid {
+							avoided++
+						}
+						if dec.Attr == "Searches" && dec.Considered {
+							t.Errorf("%s/%s: open-domain FK considered under TR", m.Name, dec.Attr)
+						}
+					}
+				}
+			}
 		}
 	}
-	resp, data := postDecide(t, ts, DecideRequest{Requests: queries})
+	if len(table) != len(keys) {
+		t.Errorf("conformance table has %d rows, the test covers %d", len(table), len(keys))
+	}
+	if avoided != 7 {
+		t.Errorf("TR avoids %d joins at scale 0.02, seed 3, want the paper's 7", avoided)
+	}
+
+	resp, body := postDecide(t, ts, DecideRequest{Requests: queries})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body: %s", resp.StatusCode, data)
+		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
 	}
 	var out DecideResponse
-	if err := json.Unmarshal(data, &out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Results) != len(queries) {
 		t.Fatalf("results = %d, want %d", len(out.Results), len(queries))
 	}
-	for ri, rule := range rules {
-		avoided := 0
-		for mi, m := range mimics {
-			d, err := m.Generate(0.02, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decs, err := (&core.Advisor{Rule: rule}).Decide(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]Decision, len(decs))
-			for j, dec := range decs {
-				want[j] = decisionFromCore(dec)
-			}
-			got := out.Results[ri*len(mimics)+mi].Decisions
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%v over HTTP = %+v, in-process %+v", m.Name, rule, got, want)
-			}
-			for _, dec := range got {
-				if dec.Avoid {
-					avoided++
-				}
-				if rule == core.TRRule && dec.Attr == "Searches" && dec.Considered {
-					t.Errorf("%s/%s: open-domain FK considered under TR", m.Name, dec.Attr)
-				}
-			}
-		}
-		if rule == core.TRRule && avoided != 7 {
-			t.Errorf("TR avoids %d joins over HTTP, want the paper's 7", avoided)
+	for i, k := range keys {
+		if got, want := out.Results[i], table[k]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: /v1/decide = %+v, table %+v", k, got, want)
 		}
 	}
+}
+
+// wireDecisions converts advisor verdicts to their wire form.
+func wireDecisions(decs []core.Decision) []Decision {
+	out := make([]Decision, len(decs))
+	for i, d := range decs {
+		out[i] = decisionFromCore(d)
+	}
+	return out
 }
 
 // TestHistogramsEmptyRunPrecision: an idle server's run-level snapshot

@@ -46,26 +46,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of the series, or 0 for a series
-// shorter than two points.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of the series.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // RMSE returns the root mean squared error between predicted and true ordinal
 // class indices, the error metric the paper uses for multi-class ordinal
 // targets (§5.1). The slices must be the same length; extra entries in either

@@ -36,30 +36,6 @@ func EntropyCounts(counts []int) float64 {
 	return h / log2
 }
 
-// EntropyProbs returns the Shannon entropy, in bits, of a probability vector.
-// The vector need not be exactly normalized; it is renormalized defensively.
-// Entries that are zero or negative contribute nothing.
-func EntropyProbs(probs []float64) float64 {
-	total := 0.0
-	for _, p := range probs {
-		if p > 0 {
-			total += p
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, p := range probs {
-		if p <= 0 {
-			continue
-		}
-		q := p / total
-		h -= q * math.Log(q)
-	}
-	return h / log2
-}
-
 // Entropy returns the empirical Shannon entropy, in bits, of a column of
 // category codes drawn from a domain of the given cardinality. Codes outside
 // [0, card) are ignored.
@@ -156,42 +132,6 @@ func InformationGainRatio(f []int32, cardF int, y []int32, cardY int) float64 {
 		return 0
 	}
 	return MutualInformation(f, cardF, y, cardY) / hf
-}
-
-// ConditionalEntropy returns H(A|B) in bits, the expected entropy of A given
-// B, estimated from the two code columns. By the chain rule
-// H(A|B) = H(A) − I(A;B); we compute it directly from counts for stability.
-func ConditionalEntropy(a []int32, cardA int, b []int32, cardB int) float64 {
-	joint := JointCounts(a, cardA, b, cardB)
-	total := 0
-	for _, c := range joint {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for bv := 0; bv < cardB; bv++ {
-		colTotal := 0
-		for av := 0; av < cardA; av++ {
-			colTotal += joint[av*cardB+bv]
-		}
-		if colTotal == 0 {
-			continue
-		}
-		fct := float64(colTotal)
-		hcol := 0.0
-		for av := 0; av < cardA; av++ {
-			c := joint[av*cardB+bv]
-			if c == 0 {
-				continue
-			}
-			p := float64(c) / fct
-			hcol -= p * math.Log(p)
-		}
-		h += fct / float64(total) * hcol
-	}
-	return h / log2
 }
 
 // ConditionalMutualInformation returns I(A;B|C) in bits, used by the TAN

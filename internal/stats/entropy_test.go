@@ -41,25 +41,6 @@ func TestEntropyCountsBiased(t *testing.T) {
 	}
 }
 
-func TestEntropyProbsMatchesCounts(t *testing.T) {
-	counts := []int{3, 1, 4, 1, 5, 9}
-	probs := make([]float64, len(counts))
-	for i, c := range counts {
-		probs[i] = float64(c)
-	}
-	if !approxEq(EntropyCounts(counts), EntropyProbs(probs), 1e-12) {
-		t.Fatal("EntropyProbs should agree with EntropyCounts on proportional inputs")
-	}
-}
-
-func TestEntropyProbsUnnormalized(t *testing.T) {
-	a := EntropyProbs([]float64{0.5, 0.5})
-	b := EntropyProbs([]float64{2, 2})
-	if !approxEq(a, b, 1e-12) || !approxEq(a, 1, 1e-12) {
-		t.Fatalf("unnormalized probs should renormalize: %v vs %v", a, b)
-	}
-}
-
 func TestEntropyCodesIgnoresOutOfRange(t *testing.T) {
 	codes := []int32{0, 1, 0, 1, -1, 7}
 	h := Entropy(codes, 2)
@@ -120,34 +101,6 @@ func TestMutualInformationBounds(t *testing.T) {
 	ha, hb := Entropy(a, 3), Entropy(b, 6)
 	if mi < 0 || mi > ha+1e-12 || mi > hb+1e-12 {
 		t.Fatalf("MI %v violates bounds [0, min(%v, %v)]", mi, ha, hb)
-	}
-}
-
-func TestConditionalEntropyChainRule(t *testing.T) {
-	r := NewRNG(13)
-	a := make([]int32, 400)
-	b := make([]int32, 400)
-	for i := range a {
-		a[i] = int32(r.IntN(4))
-		b[i] = int32((int(a[i])*2 + r.IntN(2)) % 8)
-	}
-	// H(A|B) = H(A) − I(A;B).
-	got := ConditionalEntropy(a, 4, b, 8)
-	want := Entropy(a, 4) - MutualInformation(a, 4, b, 8)
-	if !approxEq(got, want, 1e-9) {
-		t.Fatalf("chain rule violated: H(A|B)=%v, H(A)-I=%v", got, want)
-	}
-}
-
-func TestConditionalEntropyDeterministic(t *testing.T) {
-	// A is a function of B: H(A|B) = 0.
-	var a, b []int32
-	for i := 0; i < 60; i++ {
-		b = append(b, int32(i%6))
-		a = append(a, int32((i%6)/2))
-	}
-	if h := ConditionalEntropy(a, 3, b, 6); !approxEq(h, 0, 1e-12) {
-		t.Fatalf("H(A|B) for functional A = %v, want 0", h)
 	}
 }
 

@@ -151,17 +151,6 @@ type NeedleAndThread struct {
 	NeedleProb float64
 }
 
-// Sample draws an FK index: 0 is the needle, 1..N-1 the thread.
-func (d NeedleAndThread) Sample(r *RNG) int {
-	if r.Float64() < d.NeedleProb {
-		return 0
-	}
-	if d.N <= 1 {
-		return 0
-	}
-	return 1 + r.IntN(d.N-1)
-}
-
 // Probs returns the full probability vector of the distribution.
 func (d NeedleAndThread) Probs() []float64 {
 	p := make([]float64, d.N)

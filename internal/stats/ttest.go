@@ -9,9 +9,8 @@ import "math"
 // heteroscedastic across commits, which is exactly Welch's regime.
 
 // SampleVariance returns the unbiased (n-1) sample variance of the series,
-// or 0 for a series shorter than two points. Variance (population, /n)
-// remains the estimator for the bias–variance decomposition; hypothesis
-// tests need this one.
+// or 0 for a series shorter than two points, the estimator the t-test
+// needs.
 func SampleVariance(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
