@@ -5,8 +5,10 @@
 // statistics scan happen once per (name, scale, seed); after that a decision
 // request is pure arithmetic over the cached statistics and never rescans
 // data: callers answer it with core.Advisor.DecideFromStats on Entry.Stats.
-// Every entry is a generated mimic; Get is the only way in. cmd/advisord
-// serves this hot path over HTTP and cmd/loadgen drives it.
+// Every entry is a generated mimic; Get is the only way in. An entry also
+// holds one write-once answer cell per rule (Entry.Answer), so a server
+// encodes each (entry, rule) answer once and replays its bytes after that.
+// cmd/advisord serves this hot path over HTTP and cmd/loadgen drives it.
 package registry
 
 import (
@@ -21,13 +23,40 @@ import (
 )
 
 // Entry is one cached dataset: the materialized tables plus the advisor's
-// sufficient statistics. Entries are immutable after construction and safe
-// to share across request workers.
+// sufficient statistics. Dataset and Stats are immutable after construction;
+// the answer cells are written at most once each. Entries are safe to share
+// across request workers.
 type Entry struct {
 	// Dataset is the generated normalized dataset.
 	Dataset *dataset.Dataset
 	// Stats is the advisor's cached one-scan view of the dataset.
 	Stats *core.DatasetStats
+	// answers holds, per core.Rule, the first successful Answer build.
+	answers [2]atomic.Pointer[[]byte]
+}
+
+// Answer returns the bytes cached for rule, calling build to make them on
+// first use. Only a successful build is stored: after an error the cell
+// stays empty and the next call builds again. Concurrent first calls may
+// each build, but the first to store wins and every caller returns its
+// bytes, so all callers of one (entry, rule) see identical bytes. Callers
+// must not modify the returned slice.
+func (e *Entry) Answer(rule core.Rule, build func() ([]byte, error)) ([]byte, error) {
+	if rule != core.TRRule && rule != core.RORRule {
+		return nil, fmt.Errorf("registry: no answer cell for rule %d", rule)
+	}
+	cell := &e.answers[rule]
+	if b := cell.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if !cell.CompareAndSwap(nil, &b) {
+		return *cell.Load(), nil
+	}
+	return b, nil
 }
 
 // Key identifies one cached dataset: the (name, scale, seed) tuple Get

@@ -239,3 +239,80 @@ func TestConcurrentFailingGetsAllError(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryAnswerMemo pins the answer cell's contract: a successful build is
+// made once per rule and replayed, a failed build is not stored (the next
+// call builds again), and concurrent first calls all return the bytes of the
+// one build that was stored.
+func TestEntryAnswerMemo(t *testing.T) {
+	e := &Entry{}
+	builds := map[core.Rule]int{}
+	answer := func(rule core.Rule) []byte {
+		t.Helper()
+		b, err := e.Answer(rule, func() ([]byte, error) {
+			builds[rule]++
+			return []byte(fmt.Sprintf("%v#%d", rule, builds[rule])), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := 0; i < 3; i++ {
+		if got := string(answer(core.TRRule)); got != "TR#1" {
+			t.Fatalf("TR call %d = %q, want the first build's TR#1", i, got)
+		}
+		if got := string(answer(core.RORRule)); got != "ROR#1" {
+			t.Fatalf("ROR call %d = %q, want the first build's ROR#1", i, got)
+		}
+	}
+	if builds[core.TRRule] != 1 || builds[core.RORRule] != 1 {
+		t.Errorf("builds = %v, want one per rule", builds)
+	}
+
+	e = &Entry{}
+	failure := errors.New("planted build failure")
+	calls := 0
+	for i := 0; i < 2; i++ {
+		if _, err := e.Answer(core.TRRule, func() ([]byte, error) { calls++; return nil, failure }); !errors.Is(err, failure) {
+			t.Fatalf("failing build %d: err = %v, want the build's error", i, err)
+		}
+	}
+	if calls != 2 {
+		t.Errorf("two calls after a failed build built %d times, want 2 (failures are not stored)", calls)
+	}
+	if got := string(answer(core.TRRule)); got != "TR#2" {
+		t.Errorf("after failures Answer = %q, want a fresh build", got)
+	}
+	if _, err := e.Answer(core.Rule(7), func() ([]byte, error) { return []byte("x"), nil }); err == nil {
+		t.Error("Answer for an unknown rule did not error")
+	}
+
+	// Concurrent first calls: each builds distinct bytes, all must return
+	// the stored build's.
+	e = &Entry{}
+	const callers = 32
+	got := make([][]byte, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			b, err := e.Answer(core.RORRule, func() ([]byte, error) { return []byte(fmt.Sprint("build ", i)), nil })
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = b
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if string(got[i]) != string(got[0]) {
+			t.Fatalf("concurrent first calls returned %q and %q", got[0], got[i])
+		}
+	}
+}

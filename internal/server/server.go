@@ -1,11 +1,12 @@
 // Package server is the transport half of the join-advisor service: an
 // http.Handler (and its serve/drain lifecycle) that answers the paper's
 // TR/ROR decisions over the statistics registry. internal/registry caches
-// per-dataset sufficient statistics behind once-cells, so a request is pure
-// arithmetic on the hot path; a registry miss pays one generation plus
-// CollectStats scan and every later request for that key is served from
-// cache. cmd/advisord wires this package to a listener, signals, and a run
-// directory; cmd/loadgen's HTTP mode drives it at service speed.
+// per-dataset sufficient statistics behind once-cells and, per rule, the
+// encoded answer, so a warm query is a registry hit and a memo load; a
+// registry miss pays one generation plus CollectStats scan and every later
+// request for that key is served from cache. cmd/advisord wires this
+// package to a listener, signals, and a run directory; cmd/loadgen's HTTP
+// mode drives it at service speed.
 //
 // Observability follows the repo's conventions: per-endpoint request
 // latency lands in one cumulative histogram per endpoint (live on /metrics,
@@ -24,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -376,76 +378,104 @@ type resolvedQuery struct {
 	adv     *core.Advisor
 }
 
-// handleDecide answers a batch of decisions. Validation is two-phase — the
-// whole batch is checked before any query is answered, so a malformed tuple
-// can never leave a half-answered batch — and the cached-statistics path
-// means the per-query cost after the registry is warm is O(#attribute
-// tables) arithmetic.
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	if s.decideHook != nil {
-		s.decideHook()
-	}
-	span := requestSpan(r)
-	decode := span.Child("decode")
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+// requestError is a decide request refused before any query is answered:
+// the response status and the ErrorResponse message.
+type requestError struct {
+	status int
+	msg    string
+}
+
+// refuse builds the requestError for a refused decide request.
+func refuse(status int, format string, args ...any) *requestError {
+	return &requestError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// decodeRequest parses a decide body and validates the whole batch: one
+// JSON object with nothing but whitespace after it, a schema version this
+// server speaks, 1..MaxBatch queries, and per query a known dataset, a scale
+// in (0, 1] and a rule, with omitted fields taking the server defaults. It
+// returns the resolved queries, or the status and message to refuse the
+// request with. It reads the catalog, never the registry, so refusing a body
+// costs no generation.
+func (s *Server) decodeRequest(body []byte) ([]resolvedQuery, *requestError) {
 	var req DecideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		decode.End()
-		s.fail(w, http.StatusBadRequest, "parse request: %v", err)
-		return
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, refuse(http.StatusBadRequest, "parse request: %v", err)
 	}
 	if req.V < 0 || req.V > RequestSchemaVersion {
-		decode.End()
-		s.fail(w, http.StatusBadRequest,
+		return nil, refuse(http.StatusBadRequest,
 			"request schema v%d not understood (this server speaks up to v%d)", req.V, RequestSchemaVersion)
-		return
 	}
 	if len(req.Requests) == 0 {
-		decode.End()
-		s.fail(w, http.StatusBadRequest, "empty batch: requests must carry 1..%d queries", s.cfg.MaxBatch)
-		return
+		return nil, refuse(http.StatusBadRequest, "empty batch: requests must carry 1..%d queries", s.cfg.MaxBatch)
 	}
 	if len(req.Requests) > s.cfg.MaxBatch {
-		decode.End()
-		s.fail(w, http.StatusBadRequest, "batch of %d queries exceeds the %d cap", len(req.Requests), s.cfg.MaxBatch)
-		return
+		return nil, refuse(http.StatusBadRequest, "batch of %d queries exceeds the %d cap", len(req.Requests), s.cfg.MaxBatch)
 	}
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.queries = len(req.Requests)
-	}
-
 	resolved := make([]resolvedQuery, len(req.Requests))
 	for i, q := range req.Requests {
 		if !s.known[q.Dataset] {
-			decode.End()
-			s.fail(w, http.StatusNotFound, "unknown dataset %q (GET /v1/datasets lists the catalog)", q.Dataset)
-			return
+			return nil, refuse(http.StatusNotFound, "unknown dataset %q (GET /v1/datasets lists the catalog)", q.Dataset)
 		}
 		rq := resolvedQuery{dataset: q.Dataset, scale: q.Scale, seed: q.Seed}
 		if rq.scale == 0 {
 			rq.scale = s.cfg.Scale
 		}
 		if rq.scale <= 0 || rq.scale > 1 {
-			decode.End()
-			s.fail(w, http.StatusBadRequest, "scale %v outside (0, 1] for dataset %q", rq.scale, q.Dataset)
-			return
+			return nil, refuse(http.StatusBadRequest, "scale %v outside (0, 1] for dataset %q", rq.scale, q.Dataset)
 		}
 		if rq.seed == 0 {
 			rq.seed = s.cfg.Seed
 		}
 		adv, err := s.advisorFor(q.Rule)
 		if err != nil {
-			decode.End()
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil, refuse(http.StatusBadRequest, "%v", err)
 		}
 		rq.adv = adv
 		resolved[i] = rq
 	}
-	decode.End()
+	return resolved, nil
+}
 
-	results := make([]Result, len(resolved))
-	for i, q := range resolved {
+// decideHead and decideTail frame every 200 decide body: with the Results'
+// encodings joined by commas between them, the body is byte for byte what
+// json.Encoder writes for a DecideResponse.
+var decideHead = `{"v":` + strconv.Itoa(RequestSchemaVersion) + `,"results":[`
+
+const decideTail = "]}\n"
+
+// handleDecide answers a batch of decisions. The whole batch is validated
+// before any query is answered, so a malformed tuple can never leave a
+// half-answered batch. Each answer is the registry entry's memoized Result
+// encoding for the query's rule, so after a key's first decide a query
+// costs a registry hit and a memo load, and the response is those bytes
+// joined into one buffer and written once.
+func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
+	if s.decideHook != nil {
+		s.decideHook()
+	}
+	span := requestSpan(r)
+	decode := span.Child("decode")
+	var queries []resolvedQuery
+	var rerr *requestError
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	if err != nil {
+		rerr = refuse(http.StatusBadRequest, "parse request: %v", err)
+	} else {
+		queries, rerr = s.decodeRequest(body)
+	}
+	decode.End()
+	if rerr != nil {
+		s.fail(w, rerr.status, "%s", rerr.msg)
+		return
+	}
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.queries = len(queries)
+	}
+
+	frags := make([][]byte, len(queries))
+	size := len(decideHead) + len(queries) - 1 + len(decideTail)
+	for i, q := range queries {
 		// The name concat is guarded so the tracing-off hot path never pays
 		// the allocation (Child on nil would skip it, but after the concat).
 		var dspan *obs.Span
@@ -461,25 +491,55 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusInternalServerError, "resolve %s: %v", q.dataset, err)
 			return
 		}
-		decisions, err := q.adv.DecideFromStats(e.Stats)
+		// Invariant: a Result is a pure function of (registry key, rule).
+		// The key fixes the statistics and the echoed dataset, scale and
+		// seed, and the server's two advisors carry nothing but their Rule.
+		// That is what lets the entry keep one encoded answer per rule. A
+		// per-request threshold, or a response field that is not a function
+		// of the key, would break it.
+		frags[i], err = e.Answer(q.adv.Rule, func() ([]byte, error) { return encodeResult(q, e.Stats) })
 		dspan.End()
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, "decide %s: %v", q.dataset, err)
 			return
 		}
-		res := Result{
-			Dataset:   q.dataset,
-			Scale:     q.scale,
-			Seed:      q.seed,
-			Rule:      q.adv.Rule.String(),
-			Decisions: make([]Decision, len(decisions)),
-		}
-		for j, d := range decisions {
-			res.Decisions[j] = decisionFromCore(d)
-		}
-		results[i] = res
+		size += len(frags[i])
 	}
-	writeJSON(w, http.StatusOK, DecideResponse{V: RequestSchemaVersion, Results: results})
+
+	write := span.Child("write")
+	buf := make([]byte, 0, size)
+	buf = append(buf, decideHead...)
+	for i, f := range frags {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, f...)
+	}
+	buf = append(buf, decideTail...)
+	w.Header().Set("Content-Type", "application/json")
+	// A failed Write is a connection failure; nothing useful remains to
+	// tell the client.
+	_, _ = w.Write(buf)
+	write.End()
+}
+
+// encodeResult decides q on stats and returns its Result's JSON encoding.
+func encodeResult(q resolvedQuery, stats *core.DatasetStats) ([]byte, error) {
+	decisions, err := q.adv.DecideFromStats(stats)
+	if err != nil {
+		return nil, err
+	}
+	res := Result{
+		Dataset:   q.dataset,
+		Scale:     q.scale,
+		Seed:      q.seed,
+		Rule:      q.adv.Rule.String(),
+		Decisions: make([]Decision, len(decisions)),
+	}
+	for j, d := range decisions {
+		res.Decisions[j] = decisionFromCore(d)
+	}
+	return json.Marshal(res)
 }
 
 // advisorFor maps a wire rule name to the shared advisor ("" = default).

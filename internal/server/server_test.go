@@ -238,6 +238,92 @@ func TestDecideAvoidTableOverHTTP(t *testing.T) {
 	}
 }
 
+// TestDecideBodyMatchesEncoder: a 200 decide body is byte for byte what the
+// handler wrote before answers were memoized, json.NewEncoder's encoding of
+// a DecideResponse built from DecideFromStats, both on a key's first decide
+// (which fills the entry's answer cell) and on the next (which replays it).
+// The queries cover every mimic under both rules, each rule spelled in lower
+// and upper case and omitted, with scale and seed given and defaulted, in
+// batches of 1, 100 and MaxBatch. Each batch size gets a fresh registry, so
+// its first request builds every answer it returns.
+func TestDecideBodyMatchesEncoder(t *testing.T) {
+	var variants []Query
+	for _, m := range synth.Mimics() {
+		for _, rule := range []string{"tr", "TR", "ror", "ROR", ""} {
+			variants = append(variants,
+				Query{Dataset: m.Name, Rule: rule},
+				Query{Dataset: m.Name, Scale: 0.05, Seed: 3, Rule: rule})
+		}
+	}
+	cfg := testConfig()
+	cfg.Rule = core.RORRule // so an omitted rule is told apart from TR
+	// want encodes qs the pre-memo way, on statistics from its own registry.
+	oracle := registry.New()
+	want := func(t *testing.T, qs []Query) []byte {
+		t.Helper()
+		resp := DecideResponse{V: RequestSchemaVersion, Results: make([]Result, len(qs))}
+		for i, q := range qs {
+			scale, seed, rule := q.Scale, q.Seed, cfg.Rule
+			if scale == 0 {
+				scale = cfg.Scale
+			}
+			if seed == 0 {
+				seed = cfg.Seed
+			}
+			switch strings.ToUpper(q.Rule) {
+			case "TR":
+				rule = core.TRRule
+			case "ROR":
+				rule = core.RORRule
+			}
+			e, err := oracle.Get(q.Dataset, scale, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decs, err := (&core.Advisor{Rule: rule}).DecideFromStats(e.Stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Results[i] = Result{Dataset: q.Dataset, Scale: scale, Seed: seed, Rule: rule.String(), Decisions: wireDecisions(decs)}
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	check := func(t *testing.T, ts *httptest.Server, qs []Query) {
+		t.Helper()
+		expect := want(t, qs)
+		for _, pass := range []string{"first", "second"} {
+			resp, body := postDecide(t, ts, DecideRequest{Requests: qs})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s request: status = %d, body: %s", pass, resp.StatusCode, body)
+			}
+			if !bytes.Equal(body, expect) {
+				t.Fatalf("%s request of %d queries from %+v:\n got %s\nwant %s", pass, len(qs), qs[0], body, expect)
+			}
+		}
+	}
+
+	t.Run("batch=1", func(t *testing.T) {
+		_, ts := newTestServer(t, cfg)
+		for _, q := range variants {
+			check(t, ts, []Query{q})
+		}
+	})
+	for _, n := range []int{100, DefaultMaxBatch} {
+		t.Run(fmt.Sprintf("batch=%d", n), func(t *testing.T) {
+			_, ts := newTestServer(t, cfg)
+			qs := make([]Query, n)
+			for i := range qs {
+				qs[i] = variants[i%len(variants)]
+			}
+			check(t, ts, qs)
+		})
+	}
+}
+
 // wireDecisions converts advisor verdicts to their wire form.
 func wireDecisions(decs []core.Decision) []Decision {
 	out := make([]Decision, len(decs))
@@ -257,21 +343,26 @@ func TestHistogramsEmptyRunPrecision(t *testing.T) {
 	}
 }
 
+// malformedBodies are decide bodies the server must refuse with 400 and an
+// error naming the problem. FuzzDecodeRequest starts from them too.
+var malformedBodies = []struct {
+	name string
+	body string
+	want string
+}{
+	{"truncated json", `{"requests": [`, "parse request"},
+	{"empty batch", `{"requests": []}`, "empty batch"},
+	{"missing requests", `{}`, "empty batch"},
+	{"bad rule", `{"requests": [{"dataset": "Walmart", "rule": "XTREME"}]}`, "unknown rule"},
+	{"bad scale", `{"requests": [{"dataset": "Walmart", "scale": 7}]}`, "outside (0, 1]"},
+	{"negative scale", `{"requests": [{"dataset": "Walmart", "scale": -0.5}]}`, "outside (0, 1]"},
+	{"trailing garbage", `{"requests":[{"dataset":"Walmart"}]} trailing`, "parse request"},
+	{"two request objects", `{"requests":[{"dataset":"Walmart"}]}{"requests":[{"dataset":"Walmart"}]}`, "parse request"},
+}
+
 func TestDecideMalformed(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
-	cases := []struct {
-		name string
-		body string
-		want string
-	}{
-		{"truncated json", `{"requests": [`, "parse request"},
-		{"empty batch", `{"requests": []}`, "empty batch"},
-		{"missing requests", `{}`, "empty batch"},
-		{"bad rule", `{"requests": [{"dataset": "Walmart", "rule": "XTREME"}]}`, "unknown rule"},
-		{"bad scale", `{"requests": [{"dataset": "Walmart", "scale": 7}]}`, "outside (0, 1]"},
-		{"negative scale", `{"requests": [{"dataset": "Walmart", "scale": -0.5}]}`, "outside (0, 1]"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedBodies {
 		resp, data := postRaw(t, ts, []byte(tc.body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body: %s)", tc.name, resp.StatusCode, data)
@@ -286,6 +377,59 @@ func TestDecideMalformed(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, e.Error, tc.want)
 		}
 	}
+	// Whitespace after the request object is not trailing data.
+	resp, data := postRaw(t, ts, []byte("{\"requests\":[{\"dataset\":\"Walmart\"}]} \r\n\t"))
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status = %d, want 200 (body: %s)", resp.StatusCode, data)
+	}
+}
+
+// FuzzDecodeRequest: decodeRequest never panics, and a body it accepts
+// resolves to 1..MaxBatch queries, each naming a known dataset with a scale
+// in (0, 1], a seed of at least 1 and the TR or ROR advisor. It decodes
+// only: the registry stays empty, since at scale 1 every fuzzed seed would
+// generate a dataset.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, tc := range malformedBodies {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(`{"v":1,"requests":[{"dataset":"Walmart","scale":0.5,"seed":7,"rule":"ror"}]}`))
+	f.Add([]byte(`{"requests":[{"dataset":"Yelp","rule":"TR"},{"dataset":"Flights","scale":1}]}`))
+	s := New(Config{Scale: 0.02, Seed: 1, MaxBatch: 16})
+	full := strings.Repeat(`{"dataset":"Walmart"},`, s.cfg.MaxBatch)
+	f.Add([]byte(`{"requests":[` + full[:len(full)-1] + `]}`)) // exactly at the cap
+	f.Fuzz(func(t *testing.T, body []byte) {
+		queries, rerr := s.decodeRequest(body)
+		if s.Registry().Len() != 0 {
+			t.Fatal("decodeRequest touched the registry")
+		}
+		if rerr != nil {
+			if queries != nil {
+				t.Fatalf("refused (%d %q) but returned %d queries", rerr.status, rerr.msg, len(queries))
+			}
+			if rerr.status != http.StatusBadRequest && rerr.status != http.StatusNotFound {
+				t.Fatalf("refused with status %d (%q), want 400 or 404", rerr.status, rerr.msg)
+			}
+			return
+		}
+		if len(queries) < 1 || len(queries) > s.cfg.MaxBatch {
+			t.Fatalf("accepted %d queries, want 1..%d", len(queries), s.cfg.MaxBatch)
+		}
+		for i, q := range queries {
+			if !s.known[q.dataset] {
+				t.Fatalf("query %d: accepted unknown dataset %q", i, q.dataset)
+			}
+			if !(q.scale > 0 && q.scale <= 1) {
+				t.Fatalf("query %d: accepted scale %v outside (0, 1]", i, q.scale)
+			}
+			if q.seed < 1 {
+				t.Fatalf("query %d: accepted seed %d", i, q.seed)
+			}
+			if (q.adv != s.advTR || q.adv.Rule != core.TRRule) && (q.adv != s.advROR || q.adv.Rule != core.RORRule) {
+				t.Fatalf("query %d: accepted advisor %+v, want the TR or ROR one", i, q.adv)
+			}
+		}
+	})
 }
 
 func TestDecideUnknownDataset(t *testing.T) {

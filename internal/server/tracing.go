@@ -11,12 +11,14 @@ import (
 // This file is the server half of distributed tracing. The instrumentation
 // wrapper adopts an inbound W3C traceparent (or mints a fresh context and
 // head-samples it), echoes the server's own context on the response, records
-// the request as a span tree — server(endpoint) → decode → decide(dataset)
-// per batch item — and at request end asks the tail sampler whether the
-// outcome (error? slow? head-sampled?) earns the trace a line in
-// traces.jsonl. The span tree is threaded to handlers through the request
-// context; with tracing disabled the context carries no span, every Child
-// call no-ops on nil, and the request path allocates nothing extra.
+// the request as a span tree — server(endpoint) with, for decide, the
+// children decode, decide(dataset) per batch item (the registry lookup and
+// the answer-cell load) and write (the response assembly and its one Write)
+// — and at request end asks the tail sampler whether the outcome (error?
+// slow? head-sampled?) earns the trace a line in traces.jsonl. The span tree
+// is threaded to handlers through the request context; with tracing
+// disabled the context carries no span, every Child call no-ops on nil, and
+// the request path allocates nothing extra.
 
 // spanKey carries the per-request server span in the request context.
 type spanKey struct{}

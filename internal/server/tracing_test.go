@@ -103,7 +103,7 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 	for _, c := range rec.Span.Children {
 		names = append(names, c.Name)
 	}
-	if want := []string{"decode", "decide(Walmart)"}; fmt.Sprint(names) != fmt.Sprint(want) {
+	if want := []string{"decode", "decide(Walmart)", "write"}; fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("span children %v, want %v", names, want)
 	}
 }
