@@ -26,6 +26,19 @@ import "hamlet/internal/core"
 //	                    or oversized batch, bad scale/rule, or schema
 //	                    mismatch; 404 → unknown dataset; 500 → generation
 //	                    or decision failure. Errors are ErrorResponse.
+//	                    A body is accepted or refused exactly as
+//	                    json.Unmarshal into DecideRequest would take
+//	                    it, and that grammar is the contract:
+//	                    keys match case-insensitively (bytes.EqualFold
+//	                    after unescaping), unknown keys are ignored, the
+//	                    last of duplicate keys wins (a repeated
+//	                    "requests" decodes element i over the element i
+//	                    before it; [] or null starts afresh), null leaves
+//	                    a field unchanged, v must be an integer and seed
+//	                    an unsigned 64-bit integer (so -0 and 1.0 are
+//	                    400s), scale a number in float64 range, nesting
+//	                    at most 10000 deep, and only whitespace may
+//	                    follow the object.
 //	GET /v1/datasets    200 → DatasetsResponse: the resolvable catalog
 //	                    plus the (dataset, scale, seed) keys already
 //	                    resolved in the registry.

@@ -16,6 +16,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,7 +27,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -104,9 +104,11 @@ type Config struct {
 // Server answers advisor decisions over HTTP. Build with New, expose via
 // Handler (tests) or Serve (daemons), stop with Shutdown.
 type Server struct {
-	cfg   Config
-	reg   *registry.Registry
-	known map[string]bool
+	cfg Config
+	reg *registry.Registry
+	// catalog maps each resolvable dataset name to itself, so a query's
+	// dataset is the catalog's string, not one made from the body.
+	catalog map[string]string
 	// advTR and advROR are the two rule configurations, shared across
 	// requests (Advisors are immutable here).
 	advTR, advROR *core.Advisor
@@ -160,7 +162,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
-		known:    make(map[string]bool),
+		catalog:  make(map[string]string),
 		advTR:    &core.Advisor{Rule: core.TRRule},
 		advROR:   &core.Advisor{Rule: core.RORRule},
 		hists:    make(map[string]*obs.Histogram, len(endpoints)),
@@ -168,7 +170,7 @@ func New(cfg Config) *Server {
 	}
 	s.buildVersion, s.buildCommit = obs.BuildIdentity()
 	for _, name := range registry.Names() {
-		s.known[name] = true
+		s.catalog[name] = name
 	}
 	for _, ep := range endpoints {
 		s.hists[ep] = obs.NewHistogram(cfg.Precision)
@@ -398,36 +400,38 @@ func refuse(status int, format string, args ...any) *requestError {
 // request with. It reads the catalog, never the registry, so refusing a body
 // costs no generation.
 func (s *Server) decodeRequest(body []byte) ([]resolvedQuery, *requestError) {
-	var req DecideRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req wireRequest
+	d := decoder{body: body}
+	if err := d.request(&req, s.cfg.MaxBatch); err != nil {
 		return nil, refuse(http.StatusBadRequest, "parse request: %v", err)
 	}
-	if req.V < 0 || req.V > RequestSchemaVersion {
+	if req.v < 0 || req.v > RequestSchemaVersion {
 		return nil, refuse(http.StatusBadRequest,
-			"request schema v%d not understood (this server speaks up to v%d)", req.V, RequestSchemaVersion)
+			"request schema v%d not understood (this server speaks up to v%d)", req.v, RequestSchemaVersion)
 	}
-	if len(req.Requests) == 0 {
+	if req.n == 0 {
 		return nil, refuse(http.StatusBadRequest, "empty batch: requests must carry 1..%d queries", s.cfg.MaxBatch)
 	}
-	if len(req.Requests) > s.cfg.MaxBatch {
-		return nil, refuse(http.StatusBadRequest, "batch of %d queries exceeds the %d cap", len(req.Requests), s.cfg.MaxBatch)
+	if req.n > s.cfg.MaxBatch {
+		return nil, refuse(http.StatusBadRequest, "batch of %d queries exceeds the %d cap", req.n, s.cfg.MaxBatch)
 	}
-	resolved := make([]resolvedQuery, len(req.Requests))
-	for i, q := range req.Requests {
-		if !s.known[q.Dataset] {
-			return nil, refuse(http.StatusNotFound, "unknown dataset %q (GET /v1/datasets lists the catalog)", q.Dataset)
+	resolved := make([]resolvedQuery, req.n)
+	for i, q := range req.slots[:req.n] {
+		name, ok := s.catalog[string(text(q.dataset))]
+		if !ok {
+			return nil, refuse(http.StatusNotFound, "unknown dataset %q (GET /v1/datasets lists the catalog)", text(q.dataset))
 		}
-		rq := resolvedQuery{dataset: q.Dataset, scale: q.Scale, seed: q.Seed}
+		rq := resolvedQuery{dataset: name, scale: q.scale, seed: q.seed}
 		if rq.scale == 0 {
 			rq.scale = s.cfg.Scale
 		}
 		if rq.scale <= 0 || rq.scale > 1 {
-			return nil, refuse(http.StatusBadRequest, "scale %v outside (0, 1] for dataset %q", rq.scale, q.Dataset)
+			return nil, refuse(http.StatusBadRequest, "scale %v outside (0, 1] for dataset %q", rq.scale, name)
 		}
 		if rq.seed == 0 {
 			rq.seed = s.cfg.Seed
 		}
-		adv, err := s.advisorFor(q.Rule)
+		adv, err := s.advisorFor(q.rule)
 		if err != nil {
 			return nil, refuse(http.StatusBadRequest, "%v", err)
 		}
@@ -542,17 +546,20 @@ func encodeResult(q resolvedQuery, stats *core.DatasetStats) ([]byte, error) {
 	return json.Marshal(res)
 }
 
-// advisorFor maps a wire rule name to the shared advisor ("" = default).
-func (s *Server) advisorFor(rule string) (*core.Advisor, error) {
-	switch strings.ToUpper(rule) {
-	case "":
+// advisorFor maps a rule token to the shared advisor (nil or "" = default).
+// No rune outside ASCII folds or upper-cases to T, R or O, so matching by
+// bytes.EqualFold is matching by strings.ToUpper.
+func (s *Server) advisorFor(tok []byte) (*core.Advisor, error) {
+	rule := text(tok)
+	switch {
+	case len(rule) == 0:
 		if s.cfg.Rule == core.RORRule {
 			return s.advROR, nil
 		}
 		return s.advTR, nil
-	case "TR":
+	case bytes.EqualFold(rule, []byte("TR")):
 		return s.advTR, nil
-	case "ROR":
+	case bytes.EqualFold(rule, []byte("ROR")):
 		return s.advROR, nil
 	default:
 		return nil, fmt.Errorf("unknown rule %q (want TR or ROR)", rule)

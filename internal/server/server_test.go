@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -384,24 +386,199 @@ func TestDecideMalformed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRequest: decodeRequest never panics, and a body it accepts
-// resolves to 1..MaxBatch queries, each naming a known dataset with a scale
-// in (0, 1], a seed of at least 1 and the TR or ROR advisor. It decodes
-// only: the registry stays empty, since at scale 1 every fuzzed seed would
-// generate a dataset.
+// oracleDecode is the decide-body decoder the server had before its
+// hand-written one, kept as the reference FuzzDecodeRequest holds
+// decodeRequest to: json.Unmarshal into DecideRequest, then the batch
+// validation. unmarshaled reports whether json.Unmarshal accepted the body.
+func oracleDecode(s *Server, body []byte) (queries []resolvedQuery, rerr *requestError, unmarshaled bool) {
+	var req DecideRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, refuse(http.StatusBadRequest, "parse request: %v", err), false
+	}
+	if req.V < 0 || req.V > RequestSchemaVersion {
+		return nil, refuse(http.StatusBadRequest,
+			"request schema v%d not understood (this server speaks up to v%d)", req.V, RequestSchemaVersion), true
+	}
+	if len(req.Requests) == 0 {
+		return nil, refuse(http.StatusBadRequest, "empty batch: requests must carry 1..%d queries", s.cfg.MaxBatch), true
+	}
+	if len(req.Requests) > s.cfg.MaxBatch {
+		return nil, refuse(http.StatusBadRequest, "batch of %d queries exceeds the %d cap", len(req.Requests), s.cfg.MaxBatch), true
+	}
+	resolved := make([]resolvedQuery, len(req.Requests))
+	for i, q := range req.Requests {
+		if _, ok := s.catalog[q.Dataset]; !ok {
+			return nil, refuse(http.StatusNotFound, "unknown dataset %q (GET /v1/datasets lists the catalog)", q.Dataset), true
+		}
+		rq := resolvedQuery{dataset: q.Dataset, scale: q.Scale, seed: q.Seed}
+		if rq.scale == 0 {
+			rq.scale = s.cfg.Scale
+		}
+		if rq.scale <= 0 || rq.scale > 1 {
+			return nil, refuse(http.StatusBadRequest, "scale %v outside (0, 1] for dataset %q", rq.scale, q.Dataset), true
+		}
+		if rq.seed == 0 {
+			rq.seed = s.cfg.Seed
+		}
+		switch strings.ToUpper(q.Rule) {
+		case "":
+			rq.adv = s.advTR
+			if s.cfg.Rule == core.RORRule {
+				rq.adv = s.advROR
+			}
+		case "TR":
+			rq.adv = s.advTR
+		case "ROR":
+			rq.adv = s.advROR
+		default:
+			return nil, refuse(http.StatusBadRequest, "unknown rule %q (want TR or ROR)", q.Rule), true
+		}
+		resolved[i] = rq
+	}
+	return resolved, nil, true
+}
+
+// nested is a valid body whose unknown key "x" holds n arrays nested in one
+// another, so the body nests n+1 deep.
+func nested(n int) string {
+	return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"requests":[{"dataset":"Walmart"}]}`
+}
+
+// decodeQuirks are bodies on which json.Unmarshal into DecideRequest, and
+// so decodeRequest, does what a reader of the schema might not expect,
+// each checked against go1.24's encoding/json. Under testConfig a 200
+// resolves its last query to want ("dataset scale seed rule"); any other
+// status refuses with a message containing want.
+var decodeQuirks = []struct {
+	name   string
+	body   string
+	status int
+	want   string
+}{
+	{"case-folded keys", `{"REQUESTS":[{"DataSet":"Walmart","ſeed":7,"RULE":"tr"}]}`, http.StatusOK, "Walmart 0.02 7 TR"},
+	{"repeated requests decode over the last", `{"requests":[{"dataset":"Walmart","scale":0.5}],"requests":[{"dataset":"Yelp"}]}`, http.StatusOK, "Yelp 0.5 1 TR"},
+	{"empty requests starts afresh", `{"requests":[{"dataset":"Walmart","scale":0.5}],"requests":[],"requests":[{}]}`, http.StatusNotFound, `unknown dataset ""`},
+	{"null requests starts afresh", `{"requests":[{"dataset":"Walmart"},{}],"requests":null,"requests":[{"scale":0.5}]}`, http.StatusNotFound, `unknown dataset ""`},
+	{"shorter array keeps later slots", `{"requests":[{"dataset":"Walmart"},{"dataset":"Yelp","seed":9}],"requests":[{}],"requests":[{},{"rule":"ror"}]}`, http.StatusOK, "Yelp 0.02 9 ROR"},
+	{"null leaves a field unchanged", `{"requests":[null,{"dataset":null}]}`, http.StatusNotFound, `unknown dataset ""`},
+	{"null top level", `null`, http.StatusBadRequest, "empty batch"},
+	{"negative zero seed", `{"requests":[{"dataset":"Walmart","seed":-0}]}`, http.StatusBadRequest, "parse request"},
+	{"negative zero v", `{"v":-0,"requests":[{"dataset":"Walmart","scale":-0}]}`, http.StatusOK, "Walmart 0.02 1 TR"},
+	{"fractional v", `{"v":1.0,"requests":[{"dataset":"Walmart"}]}`, http.StatusBadRequest, "parse request"},
+	{"scale out of range", `{"requests":[{"dataset":"Walmart","scale":1e400}]}`, http.StatusBadRequest, "parse request"},
+	{"string seed", `{"requests":[{"dataset":"Walmart","seed":"7"}]}`, http.StatusBadRequest, "parse request"},
+	{"escaped dataset", `{"requests":[{"dataset":"\u0057almart","rule":"\u0072or"}]}`, http.StatusOK, "Walmart 0.02 1 ROR"},
+	{"invalid UTF-8 dataset", "{\"requests\":[{\"dataset\":\"Wal\xffmart\"}]}", http.StatusNotFound, `unknown dataset "Wal�mart"`},
+	{"unknown keys with nested values", `{"x":{"a":[1,{"b":[]},"c",true,null],"d":{}},"requests":[{"y":[[{"z":-1.5e3}]],"dataset":"Walmart"}]}`, http.StatusOK, "Walmart 0.02 1 TR"},
+	{"10,000 nested containers", nested(maxDepth - 1), http.StatusOK, "Walmart 0.02 1 TR"},
+	{"10,001 nested containers", nested(maxDepth), http.StatusBadRequest, "parse request"},
+}
+
+// TestDecodeRequestQuirks: decodeRequest and its oracle both answer every
+// quirk as go1.24's encoding/json does.
+func TestDecodeRequestQuirks(t *testing.T) {
+	s := New(testConfig())
+	for _, tc := range decodeQuirks {
+		got, rerr := s.decodeRequest([]byte(tc.body))
+		want, wantErr, _ := oracleDecode(s, []byte(tc.body))
+		for _, side := range []struct {
+			name string
+			qs   []resolvedQuery
+			rerr *requestError
+		}{{"decodeRequest", got, rerr}, {"oracle", want, wantErr}} {
+			switch {
+			case side.rerr != nil && (side.rerr.status != tc.status || !strings.Contains(side.rerr.msg, tc.want)):
+				t.Errorf("%s: %s refused %d %q, want %d containing %q", tc.name, side.name, side.rerr.status, side.rerr.msg, tc.status, tc.want)
+			case side.rerr == nil && tc.status != http.StatusOK:
+				t.Errorf("%s: %s accepted, want %d containing %q", tc.name, side.name, tc.status, tc.want)
+			case side.rerr == nil:
+				q := side.qs[len(side.qs)-1]
+				if last := fmt.Sprintf("%s %v %d %s", q.dataset, q.scale, q.seed, q.adv.Rule); last != tc.want {
+					t.Errorf("%s: %s resolved the last query to %q, want %q", tc.name, side.name, last, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeOversizedBatchBounded: a 1 MB body of 349,516 empty queries is
+// refused with its full count, while decodeRequest keeps at most MaxBatch
+// queries and so allocates well under 1 MB (json.Unmarshal materialized
+// every query, 87 MB).
+func TestDecodeOversizedBatchBounded(t *testing.T) {
+	s := New(Config{})
+	const n = 349516
+	body := []byte(`{"requests":[` + strings.Repeat(`{},`, n-1) + `{}]}`)
+	if int64(len(body)) > s.cfg.MaxBody {
+		t.Fatalf("body of %d bytes exceeds MaxBody %d", len(body), s.cfg.MaxBody)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, rerr := s.decodeRequest(body)
+	runtime.ReadMemStats(&after)
+	want := fmt.Sprintf("batch of %d queries exceeds the %d cap", n, DefaultMaxBatch)
+	if rerr == nil || rerr.status != http.StatusBadRequest || rerr.msg != want {
+		t.Fatalf("refusal = %+v, want 400 %q", rerr, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decodeRequest allocated %d bytes refusing the batch, want under 1 MB", alloc)
+	}
+}
+
+// TestDecodeRequestAllocs pins "no allocation per query": a 100-query body
+// of the serve-batch shape costs at most a 1-query body plus the doublings
+// of the slot slice, where json.Unmarshal made 217.
+func TestDecodeRequestAllocs(t *testing.T) {
+	s := New(testConfig())
+	allocs := func(batch int) float64 {
+		body := hotBody(t, batch)
+		return testing.AllocsPerRun(50, func() {
+			if _, rerr := s.decodeRequest(body); rerr != nil {
+				t.Fatal(rerr.msg)
+			}
+		})
+	}
+	one, hundred := allocs(1), allocs(100)
+	if hundred > one+float64(bits.Len(100)) || hundred >= 16 {
+		t.Errorf("decodeRequest allocates %v times for 100 queries and %v for 1, want at most %d more and under 16",
+			hundred, one, bits.Len(100))
+	}
+}
+
+// FuzzDecodeRequest holds decodeRequest to oracleDecode: the same status on
+// every body and, on every body json.Unmarshal accepts, the same resolved
+// queries or the same refusal message. It also checks that decodeRequest
+// never panics and that an accepted body resolves to 1..MaxBatch queries,
+// each naming a known dataset with a scale in (0, 1], a seed of at least 1
+// and the TR or ROR advisor. It decodes only: the registry stays empty,
+// since at scale 1 every fuzzed seed would generate a dataset.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, tc := range malformedBodies {
+		f.Add([]byte(tc.body))
+	}
+	for _, tc := range decodeQuirks {
 		f.Add([]byte(tc.body))
 	}
 	f.Add([]byte(`{"v":1,"requests":[{"dataset":"Walmart","scale":0.5,"seed":7,"rule":"ror"}]}`))
 	f.Add([]byte(`{"requests":[{"dataset":"Yelp","rule":"TR"},{"dataset":"Flights","scale":1}]}`))
 	s := New(Config{Scale: 0.02, Seed: 1, MaxBatch: 16})
 	full := strings.Repeat(`{"dataset":"Walmart"},`, s.cfg.MaxBatch)
-	f.Add([]byte(`{"requests":[` + full[:len(full)-1] + `]}`)) // exactly at the cap
+	f.Add([]byte(`{"requests":[` + full[:len(full)-1] + `]}`))              // exactly at the cap
+	f.Add([]byte(`{"requests":[` + full + `{"dataset":"Walmart"}]}`))       // one past it
+	f.Add([]byte(`{"requests":[` + full + `{"seed":-1}],"requests":[{}]}`)) // a type error past it
 	f.Fuzz(func(t *testing.T, body []byte) {
 		queries, rerr := s.decodeRequest(body)
 		if s.Registry().Len() != 0 {
 			t.Fatal("decodeRequest touched the registry")
+		}
+		want, wantErr, unmarshaled := oracleDecode(s, body)
+		switch {
+		case (rerr == nil) != (wantErr == nil):
+			t.Fatalf("decodeRequest: %d queries, refusal %+v; oracle: %d queries, refusal %+v", len(queries), rerr, len(want), wantErr)
+		case rerr != nil && rerr.status != wantErr.status:
+			t.Fatalf("decodeRequest refused %d %q, oracle %d %q", rerr.status, rerr.msg, wantErr.status, wantErr.msg)
+		case rerr != nil && unmarshaled && rerr.msg != wantErr.msg:
+			t.Fatalf("decodeRequest refused with %q, oracle with %q", rerr.msg, wantErr.msg)
 		}
 		if rerr != nil {
 			if queries != nil {
@@ -412,11 +589,17 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			return
 		}
+		if len(queries) != len(want) {
+			t.Fatalf("decodeRequest resolved %d queries, oracle %d", len(queries), len(want))
+		}
 		if len(queries) < 1 || len(queries) > s.cfg.MaxBatch {
 			t.Fatalf("accepted %d queries, want 1..%d", len(queries), s.cfg.MaxBatch)
 		}
 		for i, q := range queries {
-			if !s.known[q.dataset] {
+			if q != want[i] {
+				t.Fatalf("query %d: decodeRequest %+v, oracle %+v", i, q, want[i])
+			}
+			if _, ok := s.catalog[q.dataset]; !ok {
 				t.Fatalf("query %d: accepted unknown dataset %q", i, q.dataset)
 			}
 			if !(q.scale > 0 && q.scale <= 1) {
