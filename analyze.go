@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"hamlet/internal/dataset"
+	"hamlet/internal/fs"
 	"hamlet/internal/ml"
-	"hamlet/internal/ml/nb"
 	"hamlet/internal/obs"
 	"hamlet/internal/stats"
 )
@@ -36,24 +36,7 @@ const (
 // PlanOutcome reports one join plan's end-to-end result: the selected
 // features, the holdout test error of the model trained on them, and the
 // feature-selection cost.
-type PlanOutcome struct {
-	// Plan is the evaluated join plan.
-	Plan Plan
-	// InputFeatures is the number of candidate features after the plan's
-	// joins.
-	InputFeatures int
-	// Selected names the features the method kept.
-	Selected []string
-	// ValError is the validation error of the selected subset.
-	ValError float64
-	// TestError is the final holdout test error.
-	TestError float64
-	// Elapsed is the wall-clock feature selection time.
-	Elapsed time.Duration
-	// Evaluations counts subset evaluations (a hardware-independent
-	// runtime proxy).
-	Evaluations int
-}
+type PlanOutcome = fs.PlanOutcome
 
 // Report is the result of Analyze: the paper's JoinAll-versus-JoinOpt
 // comparison on one dataset.
@@ -114,11 +97,11 @@ func Analyze(d *Dataset, method FeatureSelector, adv *Advisor, seed uint64) (*Re
 		Decisions: decisions,
 		Trace:     root,
 	}
-	rep.JoinAll, err = evaluatePlan(d, d.JoinAllPlan(), method, split, root.Child("plan(JoinAll)"))
+	rep.JoinAll, err = fs.EvaluatePlan(d, d.JoinAllPlan(), method, split, root.Child("plan(JoinAll)"))
 	if err != nil {
 		return nil, err
 	}
-	rep.JoinOpt, err = evaluatePlan(d, optPlan, method, split, root.Child("plan(JoinOpt)"))
+	rep.JoinOpt, err = fs.EvaluatePlan(d, optPlan, method, split, root.Child("plan(JoinOpt)"))
 	if err != nil {
 		return nil, err
 	}
@@ -143,57 +126,12 @@ func speedup(all, opt PlanOutcome) (float64, string) {
 
 // EvaluatePlan runs one feature selection pass over the given plan and
 // reports the selected subset's holdout test error. It shares its split
-// logic with Analyze but lets callers compare arbitrary plans (e.g. the
-// robustness study of Figure 8(A)).
+// logic and its plan evaluator with Analyze but lets callers compare
+// arbitrary plans (e.g. the robustness study of Figure 8(A)).
 func EvaluatePlan(d *Dataset, p Plan, method FeatureSelector, seed uint64) (PlanOutcome, error) {
 	split, err := dataset.DefaultSplit(d.NumRows(), stats.NewRNG(seed))
 	if err != nil {
 		return PlanOutcome{}, err
 	}
-	return evaluatePlan(d, p, method, split, nil)
-}
-
-// evaluatePlan materializes the plan, selects features over the holdout
-// split, and scores the winner on the test split, recording each stage as a
-// child of sp (which may be nil for untraced runs).
-func evaluatePlan(d *Dataset, p Plan, method FeatureSelector, split *Split, sp *obs.Span) (PlanOutcome, error) {
-	defer sp.End()
-	mat := sp.Child("materialize")
-	design, err := d.Materialize(p)
-	mat.End()
-	if err != nil {
-		return PlanOutcome{}, err
-	}
-	// Count now, so the unsplit design is not kept live through selection.
-	inputFeatures := design.NumFeatures()
-	mat.Add("rows", int64(design.NumRows()))
-	mat.Add("features", int64(inputFeatures))
-	train, val, test := split.Apply(design)
-	sel := sp.Child("select(" + method.Name() + ")")
-	start := time.Now()
-	res, err := method.Select(nb.New(), train, val)
-	elapsed := time.Since(start)
-	sel.End()
-	if err != nil {
-		return PlanOutcome{}, err
-	}
-	sel.Add("evaluations", int64(res.Evaluations))
-	sel.Add("selected", int64(len(res.Features)))
-	te := sp.Child("train-eval")
-	testErr, err := ml.Evaluate(nb.New(), train, test, res.Features)
-	te.End()
-	if err != nil {
-		return PlanOutcome{}, err
-	}
-	sp.Add("evaluations", int64(res.Evaluations))
-	sp.Add("input_features", int64(inputFeatures))
-	return PlanOutcome{
-		Plan:          p,
-		InputFeatures: inputFeatures,
-		Selected:      res.FeatureNames(train),
-		ValError:      res.ValError,
-		TestError:     testErr,
-		Elapsed:       elapsed,
-		Evaluations:   res.Evaluations,
-	}, nil
+	return fs.EvaluatePlan(d, p, method, split, nil)
 }

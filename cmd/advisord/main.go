@@ -91,14 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var defRule core.Rule
-	switch strings.ToUpper(*rule) {
-	case "TR":
-		defRule = core.TRRule
-	case "ROR":
-		defRule = core.RORRule
-	default:
-		fmt.Fprintf(stderr, "advisord: unknown rule %q (want TR or ROR)\n", *rule)
+	defRule, err := core.ParseRule(*rule)
+	if err != nil {
+		fmt.Fprintf(stderr, "advisord: %v\n", err)
 		return 2
 	}
 	if *scale <= 0 || *scale > 1 {

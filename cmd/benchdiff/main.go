@@ -10,22 +10,23 @@
 //	go test -run '^$' -bench . -count 5 ./... > new.txt
 //	benchdiff BENCH_2026-08-06.json new.txt
 //
-// Inputs may be bench.sh snapshots ({"meta": ..., "benchmarks": ...}), the
-// legacy bare-array snapshots from earlier commits, or raw `go test -bench`
-// output. Benchmarks are aligned by name; with -count N samples on both
-// sides, a Welch t-test (internal/stats) filters run-to-run noise at level
-// -alpha. A benchmark with a single sample on either side falls back to the
-// threshold alone, but a baseline with fewer than 2 samples for every
-// aligned benchmark cannot gate anything and is rejected as vacuous.
+// Inputs may be bench.sh snapshots ({"meta": ..., "benchmarks": ...}) or
+// raw `go test -bench` output. Benchmarks are aligned by name; with -count
+// N samples on both sides, a Welch t-test (internal/stats) filters
+// run-to-run noise at level -alpha. A benchmark with a single sample on
+// either side falls back to the threshold alone, but a baseline with fewer
+// than 2 samples for every aligned benchmark cannot gate anything and is
+// rejected as vacuous.
 //
 // Exit status: 0 when no benchmark regressed beyond -threshold, 1 when at
-// least one did (so CI can gate on it), 2 on usage or parse errors, 3 when
-// the comparison would be vacuous — the old (baseline) snapshot does not
-// exist, the two snapshots share zero benchmark names, or the baseline has a
-// single sample for every shared benchmark. The distinct code
-// lets CI tell "the gate passed" from "the gate never ran": a missing or
-// disjoint baseline must not masquerade as a clean pass. The convention is
-// shared with `report diff` (see internal/exitcode).
+// least one did (so CI can gate on it), 2 on usage or parse errors
+// (including a negative -threshold or -memthreshold, or an -alpha outside
+// (0, 1)), 3 when the comparison would be vacuous — the old (baseline)
+// snapshot does not exist, the two snapshots share zero benchmark names, or
+// the baseline has a single sample for every shared benchmark. The distinct
+// code lets CI tell "the gate passed" from "the gate never ran": a missing
+// or disjoint baseline must not masquerade as a clean pass. The convention
+// is shared with `report diff` (see internal/exitcode).
 package main
 
 import (
@@ -75,6 +76,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 2 {
 		fs.Usage()
+		return exitUsage
+	}
+	// Written as negations so that NaN is refused too.
+	switch {
+	case !(*threshold >= 0):
+		fmt.Fprintln(stderr, "benchdiff: -threshold must be >= 0")
+		return exitUsage
+	case !(*memThreshold >= 0):
+		fmt.Fprintln(stderr, "benchdiff: -memthreshold must be >= 0")
+		return exitUsage
+	case !(*alpha > 0 && *alpha < 1):
+		fmt.Fprintln(stderr, "benchdiff: -alpha must be in (0, 1)")
 		return exitUsage
 	}
 	oldSnap, err := bench.ParseFile(fs.Arg(0))

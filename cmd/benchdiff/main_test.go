@@ -112,6 +112,34 @@ func TestUsageAndParseErrors(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeGateFlagsAreUsageErrors: a gate parameter outside its
+// range would silently disarm or invert the gate (-alpha 0 passes the
+// seeded regression, a negative -threshold flags a faster benchmark), so it
+// is refused with exit 2 and a message naming the flag.
+func TestOutOfRangeGateFlagsAreUsageErrors(t *testing.T) {
+	cases := []struct {
+		flag, value, new string
+	}{
+		{"-alpha", "0", "testdata/new_regressed.json"},
+		{"-alpha", "1", "testdata/new_regressed.json"},
+		{"-alpha", "NaN", "testdata/new_regressed.json"},
+		{"-threshold", "-1", "testdata/new_ok.json"},
+		{"-memthreshold", "-0.5", "testdata/new_ok.json"},
+	}
+	for _, c := range cases {
+		t.Run(c.flag+"="+c.value, func(t *testing.T) {
+			var out, errb strings.Builder
+			code := run([]string{c.flag, c.value, "testdata/old.json", c.new}, &out, &errb)
+			if code != exitUsage {
+				t.Fatalf("exit = %d, want %d; stdout:\n%s", code, exitUsage, out.String())
+			}
+			if !strings.Contains(errb.String(), c.flag+" must be") {
+				t.Errorf("stderr does not name %s:\n%s", c.flag, errb.String())
+			}
+		})
+	}
+}
+
 func TestMissingBaselineIsVacuousNotPass(t *testing.T) {
 	var out, errb strings.Builder
 	code := run([]string{"testdata/no_such_baseline.json", "testdata/new_ok.json"}, &out, &errb)

@@ -33,6 +33,7 @@ import (
 	"text/tabwriter"
 
 	"hamlet"
+	"hamlet/internal/core"
 	"hamlet/internal/obs"
 	"hamlet/internal/pool"
 )
@@ -75,13 +76,8 @@ func main() {
 	}
 
 	adv := hamlet.NewAdvisor()
-	switch strings.ToUpper(*rule) {
-	case "TR":
-		adv.Rule = hamlet.TRRule
-	case "ROR":
-		adv.Rule = hamlet.RORRule
-	default:
-		fatal("unknown rule %q (want TR or ROR)", *rule)
+	if adv.Rule, err = core.ParseRule(*rule); err != nil {
+		fatal("%v", err)
 	}
 	switch *tolerance {
 	case 0.001:

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"hamlet"
+	"hamlet/internal/core"
 	"hamlet/internal/obs"
 	"hamlet/internal/pool"
 	"hamlet/internal/registry"
@@ -111,13 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	adv := hamlet.NewAdvisor()
-	switch strings.ToUpper(*rule) {
-	case "TR":
-		adv.Rule = hamlet.TRRule
-	case "ROR":
-		adv.Rule = hamlet.RORRule
-	default:
-		fmt.Fprintf(stderr, "loadgen: unknown rule %q (want TR or ROR)\n", *rule)
+	var err error
+	if adv.Rule, err = core.ParseRule(*rule); err != nil {
+		fmt.Fprintf(stderr, "loadgen: %v\n", err)
 		return 2
 	}
 	var sel hamlet.FeatureSelector
@@ -330,7 +327,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 						SpanID:    tc.SpanIDString(),
 						Kind:      obs.TraceKindClient,
 						RequestID: id,
-						Span:      sp,
+						Span:      sp.Record(),
 					})
 				}
 			} else {

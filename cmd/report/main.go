@@ -203,6 +203,15 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: report diff [-tol T] [-alpha A] [-q] <base-rundir> <new-rundir>")
 		return exitcode.Usage
 	}
+	// Range checks are written as negations so that NaN is refused too.
+	switch {
+	case !(opt.Tol >= 0):
+		fmt.Fprintln(stderr, "report: -tol must be >= 0")
+		return exitcode.Usage
+	case !(opt.Alpha > 0 && opt.Alpha < 1):
+		fmt.Fprintln(stderr, "report: -alpha must be in (0, 1)")
+		return exitcode.Usage
+	}
 	base, err := report.Load(fs.Arg(0))
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
@@ -383,6 +392,10 @@ func runSLO(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "report: -latency-target must be in (0, 1)")
 		return exitcode.Usage
 	}
+	if *latObj < 0 {
+		fmt.Fprintln(stderr, "report: -latency-objective must be >= 0")
+		return exitcode.Usage
+	}
 	if *avail == 0 && *latObj == 0 {
 		fmt.Fprintln(stderr, "report: configure at least one SLO (-availability and/or -latency-objective)")
 		return exitcode.Usage
@@ -423,6 +436,14 @@ func runLatency(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() == 2 && *format != "text" {
 		fmt.Fprintln(stderr, "report: -format applies to the single-run table, not the two-run gate")
+		return exitcode.Usage
+	}
+	switch {
+	case !(opt.Quantile > 0 && opt.Quantile <= 1):
+		fmt.Fprintln(stderr, "report: -quantile must be in (0, 1]")
+		return exitcode.Usage
+	case !(opt.Tol >= 0):
+		fmt.Fprintln(stderr, "report: -tol must be >= 0")
 		return exitcode.Usage
 	}
 	base, code := loadRun(fs.Arg(0), stderr)

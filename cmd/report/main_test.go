@@ -126,6 +126,30 @@ func TestDiffQuietAndTolerance(t *testing.T) {
 	}
 }
 
+// TestTraceRendersGolden pins the single-run trace renderings of the
+// committed base/ run byte for byte.
+func TestTraceRendersGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"trace.golden.txt", []string{"trace", fixture(t, "base")}},
+		{"trace_folded.golden.txt", []string{"trace", "-folded", fixture(t, "base")}},
+	} {
+		code, out, errOut := drive(t, c.args...)
+		if code != exitcode.OK {
+			t.Fatalf("%v: exit = %d, stderr: %s", c.args, code, errOut)
+		}
+		want, err := os.ReadFile(fixture(t, c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("%v output diverged from %s:\ngot:\n%s\nwant:\n%s", c.args, c.golden, out, want)
+		}
+	}
+}
+
 func TestTraceProfile(t *testing.T) {
 	code, out, errOut := drive(t, "trace", fixture(t, "base"))
 	if code != exitcode.OK {
@@ -351,6 +375,41 @@ func TestUsageErrors(t *testing.T) {
 		if code, _, _ := drive(t, args...); code != exitcode.Usage {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitcode.Usage)
 		}
+	}
+}
+
+// TestOutOfRangeGateFlagsAreUsageErrors: a gate parameter outside its
+// range would silently change what is gated (-quantile 0 gated p99, a
+// negative -tol fails a run compared with itself, -alpha 0 never calls a
+// drift significant), so it is refused with exit 2 and a message naming the
+// flag.
+func TestOutOfRangeGateFlagsAreUsageErrors(t *testing.T) {
+	cases := []struct {
+		flag string
+		args []string
+	}{
+		{"-quantile", []string{"latency", "-quantile", "0", "latency_base", "latency_regress"}},
+		{"-quantile", []string{"latency", "-quantile", "1.5", "latency_base", "latency_base"}},
+		{"-tol", []string{"latency", "-tol", "-0.5", "latency_base", "latency_base"}},
+		{"-tol", []string{"diff", "-tol", "-1", "base", "base"}},
+		{"-alpha", []string{"diff", "-alpha", "0", "base", "drift"}},
+		{"-alpha", []string{"diff", "-alpha", "1", "base", "base"}},
+		{"-latency-objective", []string{"slo", "-latency-objective", "-1ms", "served_base"}},
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args[:3], " "), func(t *testing.T) {
+			args := append([]string{}, c.args...)
+			for i := 3; i < len(args); i++ {
+				args[i] = fixture(t, args[i])
+			}
+			code, out, errOut := drive(t, args...)
+			if code != exitcode.Usage {
+				t.Fatalf("exit = %d, want %d\nstdout: %s\nstderr: %s", code, exitcode.Usage, out, errOut)
+			}
+			if !strings.Contains(errOut, c.flag+" must be") {
+				t.Errorf("stderr does not name %s: %s", c.flag, errOut)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,9 @@
 // Package bench parses and compares benchmark snapshots for perf-regression
-// tracking (cmd/benchdiff). It understands three input shapes:
+// tracking (cmd/benchdiff). It understands two input shapes:
 //
-//   - the current scripts/bench.sh format: a JSON object
+//   - the scripts/bench.sh format: a JSON object
 //     {"meta": {...}, "benchmarks": [...]} where meta pins commit, date, Go
 //     version, benchtime, pattern, and sample count;
-//   - the legacy bench.sh format: a bare JSON array of benchmark objects
-//     (what PR 1 emitted), so the trajectory's oldest snapshots stay
-//     diffable;
 //   - raw `go test -bench` text, so a fresh local run can be compared
 //     without snapshotting first.
 //
@@ -29,8 +26,8 @@ import (
 	"hamlet/internal/stats"
 )
 
-// Meta describes how a snapshot was produced (bench.sh writes it; legacy
-// and raw-text inputs leave it zero).
+// Meta describes how a snapshot was produced (bench.sh writes it; raw-text
+// inputs leave it zero).
 type Meta struct {
 	// Commit is the git SHA the suite ran at.
 	Commit string `json:"commit,omitempty"`
@@ -83,8 +80,7 @@ func ParseFile(path string) (*Snapshot, error) {
 }
 
 // Parse detects the input format by its first non-space byte: '{' is the
-// meta-wrapped format, '[' the legacy bare array, anything else raw
-// `go test -bench` output.
+// meta-wrapped format, anything else raw `go test -bench` output.
 func Parse(data []byte) (*Snapshot, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	switch {
@@ -96,12 +92,6 @@ func Parse(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("bench: parse snapshot: %w", err)
 		}
 		return &s, nil
-	case trimmed[0] == '[':
-		var samples []Sample
-		if err := json.Unmarshal(trimmed, &samples); err != nil {
-			return nil, fmt.Errorf("bench: parse legacy array: %w", err)
-		}
-		return &Snapshot{Benchmarks: samples}, nil
 	default:
 		samples, err := parseBenchText(data)
 		if err != nil {

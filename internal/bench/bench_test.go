@@ -34,26 +34,6 @@ func TestParseMetaHardware(t *testing.T) {
 	}
 }
 
-func TestParseLegacyArray(t *testing.T) {
-	s, err := ParseFile("testdata/legacy_array.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Meta != (Meta{}) {
-		t.Errorf("legacy format should have zero meta, got %+v", s.Meta)
-	}
-	if len(s.Benchmarks) != 3 {
-		t.Fatalf("got %d samples, want 3", len(s.Benchmarks))
-	}
-	join := s.Benchmarks[1]
-	if join.Name != "BenchmarkKFKJoin" || join.BytesPerOp != nil || join.AllocsPerOp != nil {
-		t.Errorf("null bytes/allocs should parse as nil pointers: %+v", join)
-	}
-	if s.Benchmarks[2].NsPerOp != 520.5 {
-		t.Errorf("fractional ns/op lost: %+v", s.Benchmarks[2])
-	}
-}
-
 func TestParseRawBenchText(t *testing.T) {
 	s, err := ParseFile("testdata/raw_bench.txt")
 	if err != nil {
@@ -93,8 +73,8 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse([]byte("{not json")); err == nil {
 		t.Error("bad JSON object should error")
 	}
-	if _, err := Parse([]byte("[{]")); err == nil {
-		t.Error("bad JSON array should error")
+	if _, err := Parse([]byte(`[{"name":"BenchmarkX","iterations":1,"ns_per_op":1}]`)); err == nil {
+		t.Error("a bare JSON array is not a snapshot and should error")
 	}
 	if _, err := Parse([]byte("no benchmarks here\njust prose\n")); err == nil {
 		t.Error("text without benchmark lines should error")

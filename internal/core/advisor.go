@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"hamlet/internal/dataset"
 )
 
@@ -22,6 +25,18 @@ func (r Rule) String() string {
 		return "ROR"
 	}
 	return "TR"
+}
+
+// ParseRule maps a rule name to its Rule, ignoring case: the inverse of
+// String for the CLIs' -rule flags.
+func ParseRule(name string) (Rule, error) {
+	switch strings.ToUpper(name) {
+	case "TR":
+		return TRRule, nil
+	case "ROR":
+		return RORRule, nil
+	}
+	return 0, fmt.Errorf("unknown rule %q (want TR or ROR)", name)
 }
 
 // Decision is the advisor's verdict for one attribute table.

@@ -227,6 +227,18 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
+func TestParseRule(t *testing.T) {
+	for name, want := range map[string]Rule{"TR": TRRule, "tr": TRRule, "ROR": RORRule, "Ror": RORRule} {
+		if got, err := ParseRule(name); err != nil || got != want {
+			t.Errorf("ParseRule(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseRule("XX")
+	if err == nil || err.Error() != `unknown rule "XX" (want TR or ROR)` {
+		t.Errorf("ParseRule(XX) error = %v", err)
+	}
+}
+
 func TestTuneThresholds(t *testing.T) {
 	points := []ScatterPoint{
 		{ROR: 0.5, TR: 100, DeltaError: 0.0001},

@@ -68,8 +68,8 @@ func RunFCBF(b Budget) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(spec.Name, ml.MetricName(spec.Classes), f(all.testErr), f(opt.testErr),
-			d(all.features), d(opt.features), d(len(all.selected)), d(len(opt.selected)))
+		t.Add(spec.Name, ml.MetricName(spec.Classes), f(all.TestError), f(opt.TestError),
+			d(all.InputFeatures), d(opt.InputFeatures), d(len(all.Selected)), d(len(opt.Selected)))
 	}
 	return &Result{ID: "fcbf", Tables: []*Table{t}}, nil
 }
@@ -108,7 +108,7 @@ func RunJoint(b Budget) (*Result, error) {
 			return nil, err
 		}
 		t.Add(spec.Name, d(countAvoided(indepDecs)), d(countAvoided(jointDecs)),
-			f(indep.testErr), f(joint.testErr))
+			f(indep.TestError), f(joint.TestError))
 	}
 	return &Result{ID: "joint", Tables: []*Table{t}}, nil
 }

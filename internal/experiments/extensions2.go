@@ -119,7 +119,7 @@ func RunCV(b Budget) (*Result, error) {
 			return nil, err
 		}
 		t.Add(spec.Name, ml.MetricName(spec.Classes),
-			f(hold.testErr), f(cv.testErr), d(hold.evals), d(cv.evals))
+			f(hold.TestError), f(cv.TestError), d(hold.Evaluations), d(cv.Evaluations))
 	}
 	return &Result{ID: "cv", Tables: []*Table{t}}, nil
 }

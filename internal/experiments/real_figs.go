@@ -49,48 +49,13 @@ func prepare(spec synth.MimicSpec, b Budget, seed uint64) (*prepared, error) {
 	return &prepared{spec: spec, data: ds, split: split, prog: b.Progress, trace: b.Trace}, nil
 }
 
-// fsRun is one (plan, method) end-to-end outcome.
-type fsRun struct {
-	testErr  float64
-	selected []string
-	elapsed  time.Duration
-	evals    int
-	features int // candidate features in the input design
-}
-
-// runFS materializes the plan, runs the method over the holdout split with
-// Naive Bayes, and reports the final test error of the selected subset.
-func (p *prepared) runFS(plan dataset.Plan, method fs.Method) (fsRun, error) {
+// runFS evaluates one (plan, method) pair end to end through the shared
+// plan evaluator, under a span named for the figure row and one progress
+// step.
+func (p *prepared) runFS(plan dataset.Plan, method fs.Method) (fs.PlanOutcome, error) {
 	defer p.prog.Step(1)
 	sp := p.trace.Child(fmt.Sprintf("%s: select(%s, tables=%d)", p.spec.Name, method.Name(), tablesInPlan(plan)))
-	defer sp.End()
-	design, err := p.data.Materialize(plan)
-	if err != nil {
-		return fsRun{}, err
-	}
-	// Count now, so the unsplit design is not kept live through selection.
-	features := design.NumFeatures()
-	train, val, test := p.split.Apply(design)
-	start := time.Now()
-	res, err := method.Select(nb.New(), train, val)
-	elapsed := time.Since(start)
-	if err != nil {
-		return fsRun{}, err
-	}
-	sp.Add("evaluations", int64(res.Evaluations))
-	sp.Add("input_features", int64(features))
-	sp.Add("selected", int64(len(res.Features)))
-	testErr, err := ml.Evaluate(nb.New(), train, test, res.Features)
-	if err != nil {
-		return fsRun{}, err
-	}
-	return fsRun{
-		testErr:  testErr,
-		selected: res.FeatureNames(train),
-		elapsed:  elapsed,
-		evals:    res.Evaluations,
-		features: features,
-	}, nil
+	return fs.EvaluatePlan(p.data, plan, method, p.split, sp)
 }
 
 // joinOpt computes the paper's JoinOpt plan for the dataset via the TR rule.
@@ -153,15 +118,15 @@ func RunFig7(b Budget) (*Result, error) {
 				return nil, err
 			}
 			errT.Add(spec.Name, method.Name(), ml.MetricName(spec.Classes),
-				f(all.testErr), f(opt.testErr), d(tablesInPlan(joinAll)), d(tablesInPlan(joinOpt)))
-			speedup := float64(all.elapsed) / float64(maxDuration(opt.elapsed, time.Microsecond))
+				f(all.TestError), f(opt.TestError), d(tablesInPlan(joinAll)), d(tablesInPlan(joinOpt)))
+			speedup := float64(all.Elapsed) / float64(maxDuration(opt.Elapsed, time.Microsecond))
 			rtT.Add(spec.Name, method.Name(),
-				fmt.Sprintf("%.2f", float64(all.elapsed)/1e6),
-				fmt.Sprintf("%.2f", float64(opt.elapsed)/1e6),
+				fmt.Sprintf("%.2f", float64(all.Elapsed)/1e6),
+				fmt.Sprintf("%.2f", float64(opt.Elapsed)/1e6),
 				fmt.Sprintf("%.1fx", speedup),
-				d(all.evals), d(opt.evals), d(all.features), d(opt.features))
-			selT.Add(spec.Name, method.Name(), "JoinAll", strings.Join(all.selected, " "))
-			selT.Add(spec.Name, method.Name(), "JoinOpt", strings.Join(opt.selected, " "))
+				d(all.Evaluations), d(opt.Evaluations), d(all.InputFeatures), d(opt.InputFeatures))
+			selT.Add(spec.Name, method.Name(), "JoinAll", strings.Join(all.Selected, " "))
+			selT.Add(spec.Name, method.Name(), "JoinOpt", strings.Join(opt.Selected, " "))
 		}
 	}
 	return &Result{ID: "fig7", Tables: []*Table{errT, rtT, selT}}, nil
@@ -256,7 +221,7 @@ func RunFig8A(b Budget) (*Result, error) {
 			if planKey(sp.Plan) == optKey {
 				chosen = "*"
 			}
-			t.Add(spec.Name, sp.Label, f(fsRunF.testErr), f(fsRunB.testErr), chosen)
+			t.Add(spec.Name, sp.Label, f(fsRunF.TestError), f(fsRunB.TestError), chosen)
 		}
 	}
 	return &Result{ID: "fig8a", Tables: []*Table{t}}, nil
@@ -342,7 +307,7 @@ func RunFig8C(b Budget) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Add(spec.Name, method.Name(), f(opt.testErr), f(drop.testErr))
+			t.Add(spec.Name, method.Name(), f(opt.TestError), f(drop.TestError))
 		}
 	}
 	return &Result{ID: "fig8c", Tables: []*Table{t}}, nil

@@ -7,6 +7,7 @@
 // All methods follow the paper's holdout protocol: models are trained on the
 // training split and subsets compared by their error on the validation
 // split; the caller reports final accuracy on the untouched test split.
+// EvaluatePlan runs that whole protocol for one join plan.
 //
 // Wrapper search over Naive Bayes uses the decomposability fast path
 // (internal/ml/nb.SubsetScorer): sufficient statistics and per-feature

@@ -12,6 +12,10 @@ import "fmt"
 // existing reader (renamed keys, changed units, removed kinds) bumps it.
 // Purely additive changes (new event kinds, new optional keys) do not.
 //
+// Every artifact but events.jsonl (written through log/slog) has one Go
+// type in this package that the writer marshals and internal/report
+// decodes, named first in its entry below, so the two cannot drift apart.
+//
 // Schema v1 (current):
 //
 //	manifest.json   RunInfo: schema_version, tool, flags{...}, commit,
@@ -22,19 +26,19 @@ import "fmt"
 //	                emitted span_end (path, duration_ms, counters) per span;
 //	                the kind was dropped within v1 because it repeated
 //	                trace.json, and readers ignore it in old run dirs
-//	trace.json      span tree: name, start, duration_ms, counters{...},
+//	trace.json      SpanRecord: name, start, duration_ms, counters{...},
 //	                children[...] (or null for traceless runs)
 //	metrics.json    Default metrics-registry snapshot (flat JSON object;
 //	                histograms render as HistogramSnapshot)
 //	results.jsonl   one ResultRow per line (experiments only)
-//	histograms.json named latency HistogramSnapshots under a
-//	                schema_version stamp (loadgen only; optional — added
-//	                additively within v1, so readers must load run
-//	                directories that lack it)
+//	histograms.json HistogramsArtifact: named latency HistogramSnapshots
+//	                under a schema_version stamp (loadgen and advisord
+//	                only; optional — added additively within v1, so
+//	                readers must load run directories that lack it)
 //	traces.jsonl    one TraceRecord per line: v, trace_id (32 hex),
 //	                span_id (16 hex), parent_span_id, kind
-//	                ("client"/"server"), request_id, span (the span tree,
-//	                trace.json shape); written only for tail-sampled
+//	                ("client"/"server"), request_id, span (a SpanRecord,
+//	                trace.json's shape); written only for tail-sampled
 //	                requests (optional — additive within v1)
 //
 // Version 0 is the pre-versioning schema (identical minus the version

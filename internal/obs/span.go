@@ -20,9 +20,10 @@ import (
 //	│  └─ train-eval 1ms
 //	└─ plan(JoinOpt) ...
 //
-// renderable as text (WriteText) or JSON (MarshalJSON). Every method is a
-// no-op on a nil receiver, so call sites never need to guard: untraced runs
-// pass nil spans all the way down at the cost of a nil check.
+// renderable as text (WriteText) or JSON (MarshalJSON, in the SpanRecord
+// shape). Every method is a no-op on a nil receiver, so call sites never
+// need to guard: untraced runs pass nil spans all the way down at the cost
+// of a nil check.
 //
 // A span's own methods are safe for concurrent use, but the intended
 // discipline is one goroutine per subtree.
@@ -249,30 +250,37 @@ func (s *Span) String() string {
 	return b.String()
 }
 
-// spanJSON is the serialized form of a span.
-type spanJSON struct {
-	Name     string           `json:"name"`
-	Start    time.Time        `json:"start"`
-	Duration float64          `json:"duration_ms"`
-	Counters map[string]int64 `json:"counters,omitempty"`
-	Children []*Span          `json:"children,omitempty"`
+// SpanRecord is the persisted shape of a span tree: trace.json's root and
+// the span of every traces.jsonl line. The writer marshals it and
+// internal/report decodes into it, so the two sides share one definition.
+type SpanRecord struct {
+	Name       string           `json:"name"`
+	Start      time.Time        `json:"start"`
+	DurationMS float64          `json:"duration_ms"`
+	Counters   map[string]int64 `json:"counters,omitempty"`
+	Children   []*SpanRecord    `json:"children,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler, serializing the whole subtree.
-func (s *Span) MarshalJSON() ([]byte, error) {
+// Record snapshots the whole subtree as a SpanRecord (nil on nil).
+func (s *Span) Record() *SpanRecord {
 	if s == nil {
-		return []byte("null"), nil
+		return nil
 	}
-	_, dur, counters, children := s.snapshot()
-	s.mu.Lock()
-	start := s.start
-	name := s.name
-	s.mu.Unlock()
-	return json.Marshal(spanJSON{
-		Name:     name,
-		Start:    start,
-		Duration: float64(dur) / float64(time.Millisecond),
-		Counters: counters,
-		Children: children,
-	})
+	name, dur, counters, children := s.snapshot()
+	rec := &SpanRecord{
+		Name:       name,
+		Start:      s.start, // set once by StartSpan, never written again
+		DurationMS: float64(dur) / float64(time.Millisecond),
+		Counters:   counters,
+	}
+	for _, c := range children {
+		rec.Children = append(rec.Children, c.Record())
+	}
+	return rec
+}
+
+// MarshalJSON implements json.Marshaler, serializing the whole subtree as
+// its SpanRecord.
+func (s *Span) MarshalJSON() ([]byte, error) {
+	return json.Marshal(s.Record())
 }

@@ -273,8 +273,8 @@ func TestTraceLogAppendReadBack(t *testing.T) {
 	sp := StartSpan("client(decide)")
 	sp.End()
 	recs := []TraceRecord{
-		{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8), Kind: TraceKindClient, RequestID: "r-1", Span: sp},
-		{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("ef", 8), ParentSpanID: strings.Repeat("cd", 8), Kind: TraceKindServer, Span: sp},
+		{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8), Kind: TraceKindClient, RequestID: "r-1", Span: sp.Record()},
+		{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("ef", 8), ParentSpanID: strings.Repeat("cd", 8), Kind: TraceKindServer, Span: sp.Record()},
 	}
 	for _, r := range recs {
 		if err := run.Traces().Append(r); err != nil {

@@ -12,7 +12,8 @@ import (
 // for one distributed request, keyed by the IDs that join it to the other
 // halves of the same trace. The artifact is additive to schema v1 — run
 // directories without it load exactly as before — and each line carries the
-// version stamp like every other JSONL artifact.
+// version stamp like every other JSONL artifact. The writer (TraceLog) and
+// the reader (internal/report) share this type.
 type TraceRecord struct {
 	// V is the artifact schema version (SchemaVersion).
 	V int `json:"v"`
@@ -30,7 +31,7 @@ type TraceRecord struct {
 	// traces link to request-log events and slow exemplars.
 	RequestID string `json:"request_id,omitempty"`
 	// Span is the process-local span tree for the request.
-	Span *Span `json:"span"`
+	Span *SpanRecord `json:"span"`
 }
 
 // Trace kinds for TraceRecord.Kind.

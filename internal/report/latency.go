@@ -19,17 +19,6 @@ import (
 // sibling of the accudiff in diff.go, sharing its exit-code contract
 // through cmd/report.
 
-// latencyQuantiles are the columns every latency table reports.
-var latencyQuantiles = []struct {
-	label string
-	q     float64
-}{
-	{"p50", 0.50},
-	{"p90", 0.90},
-	{"p99", 0.99},
-	{"p99.9", 0.999},
-}
-
 // LatencyNames returns the run's histogram names sorted, run-level series
 // before their per-dataset sub-series (plain lexical order does this:
 // "request_latency_ns" < "request_latency_ns.Walmart").
@@ -42,30 +31,22 @@ func (r *Run) LatencyNames() []string {
 	return names
 }
 
-// WriteLatency renders every histogram of the run as one quantile table
-// row: count, mean, exact min/max, and the estimated quantiles, with the
-// bucket scheme's error bound stated once per distinct precision. Errors
-// when the run carries no histograms (only loadgen runs write them).
+// WriteLatency renders LatencyRows as a table: count, exact min/max and
+// mean, and the estimated quantiles, with the bucket scheme's error bound
+// stated once per distinct precision. Errors when the run carries no
+// histograms (only loadgen and advisord runs write them).
 func (r *Run) WriteLatency(w io.Writer) error {
-	names := r.LatencyNames()
-	if len(names) == 0 {
-		return fmt.Errorf("report: %s has no %s to render (only loadgen runs write latency histograms)", r.Dir, obs.HistogramsFile)
+	rows, err := r.LatencyRows()
+	if err != nil {
+		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "histogram\tcount\tmin\t")
-	for _, lq := range latencyQuantiles {
-		fmt.Fprintf(tw, "%s\t", lq.label)
-	}
-	fmt.Fprintln(tw, "max\tmean")
+	fmt.Fprintln(tw, "histogram\tcount\tmin\tp50\tp90\tp99\tp99.9\tmax\tmean")
 	precisions := make(map[int]bool)
-	for _, name := range names {
-		h := r.Histograms[name]
-		precisions[h.Precision] = true
-		fmt.Fprintf(tw, "%s\t%d\t%s\t", name, h.Count, ns(h.Min))
-		for _, lq := range latencyQuantiles {
-			fmt.Fprintf(tw, "%s\t", ns(h.Quantile(lq.q)))
-		}
-		fmt.Fprintf(tw, "%s\t%s\n", ns(h.Max), ns(int64(h.Mean())))
+	for _, row := range rows {
+		precisions[row.Precision] = true
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n", row.Histogram, row.Count,
+			ns(row.MinNS), ns(row.P50NS), ns(row.P90NS), ns(row.P99NS), ns(row.P999NS), ns(row.MaxNS), ns(row.MeanNS))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -87,9 +68,9 @@ func (r *Run) WriteLatency(w io.Writer) error {
 // ns renders a nanosecond value as a duration string.
 func ns(v int64) time.Duration { return time.Duration(v) }
 
-// LatencyRow is one histogram's quantile summary in machine-readable form —
-// the row WriteLatency renders, with raw nanoseconds instead of duration
-// strings so downstream tooling needs no duration parser.
+// LatencyRow is one histogram's quantile summary: the row WriteLatency
+// renders as duration strings, and the CSV and JSON forms carry as raw
+// nanoseconds so downstream tooling needs no duration parser.
 type LatencyRow struct {
 	Histogram string `json:"histogram"`
 	Count     int64  `json:"count"`
@@ -103,8 +84,8 @@ type LatencyRow struct {
 	Precision int    `json:"precision"`
 }
 
-// LatencyRows flattens the run's histograms into sorted rows. Errors when
-// the run carries none, matching WriteLatency.
+// LatencyRows flattens the run's histograms into rows sorted by name.
+// Errors when the run carries none.
 func (r *Run) LatencyRows() ([]LatencyRow, error) {
 	names := r.LatencyNames()
 	if len(names) == 0 {
@@ -173,7 +154,7 @@ func (r *Run) WriteLatencyJSON(w io.Writer) error {
 
 // LatencyDiffOptions configures the latency gate.
 type LatencyDiffOptions struct {
-	// Quantile is the gated quantile (0.99 = p99).
+	// Quantile is the gated quantile, in (0, 1] (0.99 = p99).
 	Quantile float64
 	// Tol is the relative regression tolerance on the gated quantile: the
 	// gate trips when new > base·(1 + Tol + combined bucket error). Folding
@@ -227,9 +208,6 @@ func (r *LatencyDiffReport) Regressions() int {
 // gated quantile on each. Histograms observed at different precisions still
 // compare — each side's own error bound is folded into the threshold.
 func LatencyDiff(base, next *Run, opt LatencyDiffOptions) *LatencyDiffReport {
-	if opt.Quantile <= 0 || opt.Quantile > 1 {
-		opt.Quantile = DefaultLatencyDiffOptions.Quantile
-	}
 	rep := &LatencyDiffReport{Quantile: opt.Quantile}
 	for _, name := range base.LatencyNames() {
 		b := base.Histograms[name]

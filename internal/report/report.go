@@ -12,6 +12,11 @@
 //   - Profile aggregates the span tree into per-path total/self time, a
 //     critical path, counter rollups, and a worker-utilization summary.
 //
+// Each artifact but events.jsonl (written through log/slog) decodes into
+// the Go type its writer in internal/obs marshals — obs.RunInfo,
+// obs.ResultRow, obs.SpanRecord, obs.HistogramsArtifact, obs.TraceRecord —
+// so the two sides share one definition of every shape.
+//
 // Readers gate on the artifact schema version (obs.SchemaVersion): a run
 // directory written by a newer schema is refused with a clear error rather
 // than misread. Version 0 (pre-versioning artifacts) is accepted as legacy.
@@ -41,13 +46,13 @@ type Run struct {
 	// Events holds events.jsonl in line order.
 	Events []Event
 	// Trace is the span tree from trace.json (nil when absent or null).
-	Trace *TraceSpan
+	Trace *obs.SpanRecord
 	// Histograms holds histograms.json's named latency snapshots (loadgen
 	// runs only; nil when absent).
 	Histograms map[string]obs.HistogramSnapshot
 	// Traces holds traces.jsonl in line order (nil when the run kept no
 	// sampled traces — the file is only created on the first kept trace).
-	Traces []TraceLine
+	Traces []obs.TraceRecord
 	// Metrics holds metrics.json's scalar values — counters by name.
 	// Histogram entries are skipped (Histograms carries the latency
 	// series). Nil when the artifact is absent.
@@ -67,20 +72,35 @@ type Event struct {
 	Attrs map[string]any
 }
 
-// TraceSpan is one node of the persisted span tree (trace.json). It mirrors
-// the obs.Span JSON shape.
-type TraceSpan struct {
-	Name       string           `json:"name"`
-	Start      time.Time        `json:"start"`
-	DurationMS float64          `json:"duration_ms"`
-	Counters   map[string]int64 `json:"counters,omitempty"`
-	Children   []*TraceSpan     `json:"children,omitempty"`
+// UnmarshalJSON splits one events.jsonl line into the envelope fields and
+// the remaining attributes.
+func (ev *Event) UnmarshalJSON(data []byte) error {
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*ev = Event{Attrs: raw}
+	if ts, ok := raw["time"].(string); ok {
+		if t, err := time.Parse(time.RFC3339Nano, ts); err == nil {
+			ev.Time = t
+		}
+		delete(raw, "time")
+	}
+	if msg, ok := raw["msg"].(string); ok {
+		ev.Msg = msg
+		delete(raw, "msg")
+	}
+	if v, ok := raw["v"].(float64); ok {
+		ev.V = int(v)
+		delete(raw, "v")
+	}
+	return nil
 }
 
 // Load parses the run directory at dir. The manifest must exist and carry a
-// schema version this build understands; results.jsonl, events.jsonl, and
-// trace.json are parsed when present. Errors preserve fs.ErrNotExist so
-// callers can distinguish "not a run directory" from a parse failure.
+// schema version this build understands; every other artifact is parsed
+// when present. Errors preserve fs.ErrNotExist so callers can distinguish
+// "not a run directory" from a parse failure.
 func Load(dir string) (*Run, error) {
 	r := &Run{Dir: dir}
 	data, err := os.ReadFile(filepath.Join(dir, obs.ManifestFile))
@@ -93,19 +113,20 @@ func Load(dir string) (*Run, error) {
 	if err := obs.CheckSchemaVersion(r.Manifest.SchemaVersion); err != nil {
 		return nil, fmt.Errorf("report: %s: %w", dir, err)
 	}
-	if r.Results, err = loadResults(filepath.Join(dir, obs.ResultsFile)); err != nil {
+	if r.Results, err = loadJSONL(filepath.Join(dir, obs.ResultsFile), func(row *obs.ResultRow) int { return row.V }); err != nil {
 		return nil, err
 	}
-	if r.Events, err = loadEvents(filepath.Join(dir, obs.EventsFile)); err != nil {
+	if r.Events, err = loadJSONL(filepath.Join(dir, obs.EventsFile), func(ev *Event) int { return ev.V }); err != nil {
 		return nil, err
 	}
-	if r.Trace, err = loadTrace(filepath.Join(dir, obs.TraceFile)); err != nil {
+	// trace.json is a literal null for traceless runs, leaving Trace nil.
+	if _, err := loadJSON(filepath.Join(dir, obs.TraceFile), &r.Trace); err != nil {
 		return nil, err
 	}
 	if r.Histograms, err = loadHistograms(filepath.Join(dir, obs.HistogramsFile)); err != nil {
 		return nil, err
 	}
-	if r.Traces, err = loadTraceLines(filepath.Join(dir, obs.TracesFile)); err != nil {
+	if r.Traces, err = loadJSONL(filepath.Join(dir, obs.TracesFile), func(rec *obs.TraceRecord) int { return rec.V }); err != nil {
 		return nil, err
 	}
 	if r.Metrics, err = loadMetrics(filepath.Join(dir, obs.MetricsFile)); err != nil {
@@ -114,19 +135,64 @@ func Load(dir string) (*Run, error) {
 	return r, nil
 }
 
-// loadMetrics parses metrics.json's scalar entries (nil with a nil error
-// when absent). Non-numeric values — histogram snapshots — are skipped.
-func loadMetrics(path string) (map[string]float64, error) {
+// loadJSON decodes the whole-file artifact at path into v. It returns
+// false when there is nothing to use: the file is absent, which is not an
+// error because every artifact but the manifest is optional, or it failed
+// to read or parse, with the error.
+func loadJSON(path string, v any) (bool, error) {
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("report: %w", err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return false, fmt.Errorf("report: parse %s: %w", path, err)
+	}
+	return true, nil
+}
+
+// loadJSONL decodes the JSONL artifact at path one non-empty line at a
+// time, refusing any line whose schema stamp (read by version) this build
+// does not understand. An absent file yields nil with a nil error.
+func loadJSONL[T any](path string, version func(*T) int) ([]T, error) {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
+	defer f.Close()
+	var out []T
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	for ln := 1; sc.Scan(); ln++ {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var v T
+		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
+			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
+		}
+		if err := obs.CheckSchemaVersion(version(&v)); err != nil {
+			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
+		}
+		out = append(out, v)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("report: scan %s: %w", path, err)
+	}
+	return out, nil
+}
+
+// loadMetrics parses metrics.json's scalar entries (nil when absent).
+// Non-numeric values — histogram snapshots — are skipped.
+func loadMetrics(path string) (map[string]float64, error) {
 	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
+	if ok, err := loadJSON(path, &raw); !ok {
+		return nil, err
 	}
 	out := make(map[string]float64)
 	for name, v := range raw {
@@ -137,53 +203,13 @@ func loadMetrics(path string) (map[string]float64, error) {
 	return out, nil
 }
 
-// loadTraceLines parses traces.jsonl (nil with a nil error when absent —
-// the artifact is additive, and even a traced run writes it lazily).
-func loadTraceLines(path string) ([]TraceLine, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	defer f.Close()
-	var lines []TraceLine
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for ln := 1; sc.Scan(); ln++ {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var tl TraceLine
-		if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
-		}
-		if err := obs.CheckSchemaVersion(tl.V); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
-		}
-		lines = append(lines, tl)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("report: scan %s: %w", path, err)
-	}
-	return lines, nil
-}
-
-// loadHistograms parses histograms.json (nil with a nil error when absent —
-// the artifact is additive; only loadgen runs write it) and rejects any
+// loadHistograms parses histograms.json (nil when absent — the artifact is
+// additive; only loadgen and advisord runs write it) and rejects any
 // snapshot whose layout the quantile and SLO arithmetic cannot trust.
 func loadHistograms(path string) (map[string]obs.HistogramSnapshot, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
 	var art obs.HistogramsArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
+	if ok, err := loadJSON(path, &art); !ok {
+		return nil, err
 	}
 	if err := obs.CheckSchemaVersion(art.SchemaVersion); err != nil {
 		return nil, fmt.Errorf("report: %s: %w", path, err)
@@ -194,100 +220,4 @@ func loadHistograms(path string) (map[string]obs.HistogramSnapshot, error) {
 		}
 	}
 	return art.Histograms, nil
-}
-
-// loadResults parses results.jsonl ([] with a nil error when absent).
-func loadResults(path string) ([]obs.ResultRow, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	defer f.Close()
-	var rows []obs.ResultRow
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for ln := 1; sc.Scan(); ln++ {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var row obs.ResultRow
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
-		}
-		if err := obs.CheckSchemaVersion(row.V); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("report: scan %s: %w", path, err)
-	}
-	return rows, nil
-}
-
-// loadEvents parses events.jsonl ([] with a nil error when absent).
-func loadEvents(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	defer f.Close()
-	var events []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for ln := 1; sc.Scan(); ln++ {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var raw map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
-		}
-		ev := Event{Attrs: raw}
-		if ts, ok := raw["time"].(string); ok {
-			if t, err := time.Parse(time.RFC3339Nano, ts); err == nil {
-				ev.Time = t
-			}
-			delete(raw, "time")
-		}
-		if msg, ok := raw["msg"].(string); ok {
-			ev.Msg = msg
-			delete(raw, "msg")
-		}
-		if v, ok := raw["v"].(float64); ok {
-			ev.V = int(v)
-			delete(raw, "v")
-		}
-		if err := obs.CheckSchemaVersion(ev.V); err != nil {
-			return nil, fmt.Errorf("report: %s line %d: %w", path, ln, err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("report: scan %s: %w", path, err)
-	}
-	return events, nil
-}
-
-// loadTrace parses trace.json (nil with a nil error when absent or null —
-// traceless runs persist a literal null).
-func loadTrace(path string) (*TraceSpan, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	var root *TraceSpan
-	if err := json.Unmarshal(data, &root); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
-	}
-	return root, nil
 }

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"hamlet/internal/obs"
 )
 
 // This file turns a persisted span tree into a profile: where the run's
@@ -93,16 +95,16 @@ func generalize(name string) string {
 }
 
 // NewProfile aggregates a span tree into a Profile. A nil root yields nil.
-func NewProfile(root *TraceSpan) *Profile {
+func NewProfile(root *obs.SpanRecord) *Profile {
 	if root == nil {
 		return nil
 	}
 	p := &Profile{Root: root.Name, RootMS: root.DurationMS}
 	agg := make(map[string]*PathStat)
 	var order []string
-	var leaves []*TraceSpan
-	var walk func(s *TraceSpan, path string, ancestors map[string]bool)
-	walk = func(s *TraceSpan, path string, ancestors map[string]bool) {
+	var leaves []*obs.SpanRecord
+	var walk func(s *obs.SpanRecord, path string, ancestors map[string]bool)
+	walk = func(s *obs.SpanRecord, path string, ancestors map[string]bool) {
 		p.Spans++
 		st := agg[path]
 		if st == nil {
@@ -152,7 +154,7 @@ func NewProfile(root *TraceSpan) *Profile {
 			frac = s.DurationMS / root.DurationMS
 		}
 		p.Hot = append(p.Hot, HotStep{Name: s.Name, DurationMS: s.DurationMS, FracRoot: frac})
-		var next *TraceSpan
+		var next *obs.SpanRecord
 		for _, c := range s.Children {
 			if next == nil || c.DurationMS > next.DurationMS {
 				next = c
@@ -178,7 +180,7 @@ func (p *Profile) addCounter(name string, v int64) {
 
 // utilization sweeps the leaf spans' wall-clock intervals. Trees without
 // start times yield nil.
-func utilization(root *TraceSpan, leaves []*TraceSpan) *Utilization {
+func utilization(root *obs.SpanRecord, leaves []*obs.SpanRecord) *Utilization {
 	if root.DurationMS <= 0 || len(leaves) == 0 {
 		return nil
 	}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hamlet/internal/obs"
 )
 
 // TestProfileSelfTimeIdentity pins the profile's accounting invariant on
@@ -71,9 +73,9 @@ func TestProfileFixtureShape(t *testing.T) {
 }
 
 // span builds a test tree node with a start offset and duration in ms.
-func span(name string, startMS, durMS float64, counters map[string]int64, children ...*TraceSpan) *TraceSpan {
+func span(name string, startMS, durMS float64, counters map[string]int64, children ...*obs.SpanRecord) *obs.SpanRecord {
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	return &TraceSpan{
+	return &obs.SpanRecord{
 		Name:       name,
 		Start:      base.Add(time.Duration(startMS * float64(time.Millisecond))),
 		DurationMS: durMS,
@@ -139,8 +141,8 @@ func TestGeneralize(t *testing.T) {
 // TestProfileWithoutStartTimes: a tree whose spans carry no start times
 // still profiles total/self time and counters, with utilization nil.
 func TestProfileWithoutStartTimes(t *testing.T) {
-	tree := &TraceSpan{Name: "root", DurationMS: 20, Children: []*TraceSpan{
-		{Name: "a", DurationMS: 15, Counters: map[string]int64{"rows": 7}, Children: []*TraceSpan{
+	tree := &obs.SpanRecord{Name: "root", DurationMS: 20, Children: []*obs.SpanRecord{
+		{Name: "a", DurationMS: 15, Counters: map[string]int64{"rows": 7}, Children: []*obs.SpanRecord{
 			{Name: "a1", DurationMS: 5},
 		}},
 		{Name: "b", DurationMS: 4},
@@ -178,10 +180,10 @@ func TestProfileNilTree(t *testing.T) {
 // speedscope parse. Frame names must not contain the separator characters,
 // and the emitted values must sum to the profile's total self time.
 func TestWriteFolded(t *testing.T) {
-	p := NewProfile(&TraceSpan{
+	p := NewProfile(&obs.SpanRecord{
 		Name: "load gen", DurationMS: 20,
-		Children: []*TraceSpan{
-			{Name: "drive(mode=decide)", DurationMS: 15, Children: []*TraceSpan{{Name: "decide[3]", DurationMS: 5}}},
+		Children: []*obs.SpanRecord{
+			{Name: "drive(mode=decide)", DurationMS: 15, Children: []*obs.SpanRecord{{Name: "decide[3]", DurationMS: 5}}},
 			{Name: "tiny", DurationMS: 0.0001}, // rounds to 0µs: omitted
 		},
 	})

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"hamlet/internal/obs"
 )
 
 // This file is the cross-process half of the trace read side: where trace.go
@@ -15,53 +17,19 @@ import (
 // span and the server span nested under it is transport plus queue time,
 // which neither process can measure alone.
 
-// TraceLine is one parsed traces.jsonl record: the span-context envelope
-// (IDs, kind, request ID) around a span tree in the trace.json shape.
-type TraceLine struct {
-	// V is the record's schema stamp.
-	V int `json:"v"`
-	// TraceID and SpanID name this record's span context (hex).
-	TraceID string `json:"trace_id"`
-	SpanID  string `json:"span_id"`
-	// ParentSpanID is the caller's span ID ("" for a locally minted root).
-	// A server record's parent is the client span that carried the request,
-	// which is what the cross-process join grafts on.
-	ParentSpanID string `json:"parent_span_id"`
-	// Kind is the recording process's role: obs.TraceKindClient or
-	// obs.TraceKindServer.
-	Kind string `json:"kind"`
-	// RequestID is the X-Request-ID the span served (may be empty).
-	RequestID string `json:"request_id"`
-	// Span is the recorded span tree.
-	Span *TraceSpan `json:"span"`
-}
-
-// TraceNode is one span of an assembled cross-process tree: the TraceSpan
-// shape plus which process recorded it.
-type TraceNode struct {
-	// Kind is the recording side ("client" or "server"); children inherit
-	// their record's kind.
-	Kind string
-	// Name, Start, DurationMS, and Counters mirror the recorded span.
-	Name       string
-	Start      time.Time
-	DurationMS float64
-	Counters   map[string]int64
-	// Children holds same-process children first, then any grafted
-	// remote-process roots.
-	Children []*TraceNode
-}
-
 // AssembledTrace is one distributed trace joined across run directories.
 type AssembledTrace struct {
 	// TraceID is the shared 128-bit trace ID (hex).
 	TraceID string
 	// RequestID is the request ID the halves agreed on ("" when absent).
 	RequestID string
-	// Root is the merged tree: the client record's span with each joined
-	// server record grafted under it. A server-only trace's root is the
-	// server span.
-	Root *TraceNode
+	// Root is the record whose span heads the merged tree: the client
+	// record, or the first server record of a server-only trace.
+	Root *obs.TraceRecord
+	// Grafts are the records whose spans nest under Root's span, after its
+	// own children: each server record whose parent span ID names the
+	// client's span, or the other records of a server-only trace.
+	Grafts []*obs.TraceRecord
 	// Complete reports that a client and a server half joined: a server
 	// record's parent span ID named a client record's span ID.
 	Complete bool
@@ -92,20 +60,21 @@ type TraceAssembly struct {
 // loadgen run dir (client halves) with the advisord run dir it drove
 // (server halves), but the join keys on record kind, not argument order.
 func AssembleTraces(runs ...*Run) *TraceAssembly {
-	byTrace := make(map[string][]TraceLine)
+	byTrace := make(map[string][]*obs.TraceRecord)
 	var order []string
 	for _, r := range runs {
 		if r == nil {
 			continue
 		}
-		for _, tl := range r.Traces {
-			if tl.Span == nil || tl.TraceID == "" {
+		for i := range r.Traces {
+			rec := &r.Traces[i]
+			if rec.Span == nil || rec.TraceID == "" {
 				continue
 			}
-			if _, ok := byTrace[tl.TraceID]; !ok {
-				order = append(order, tl.TraceID)
+			if _, ok := byTrace[rec.TraceID]; !ok {
+				order = append(order, rec.TraceID)
 			}
-			byTrace[tl.TraceID] = append(byTrace[tl.TraceID], tl)
+			byTrace[rec.TraceID] = append(byTrace[rec.TraceID], rec)
 		}
 	}
 	asm := &TraceAssembly{}
@@ -114,7 +83,7 @@ func AssembleTraces(runs ...*Run) *TraceAssembly {
 		switch {
 		case at.Complete:
 			asm.Complete++
-		case at.Root.Kind == "client":
+		case at.Root.Kind == obs.TraceKindClient:
 			asm.ClientOnly++
 		default:
 			asm.ServerOnly++
@@ -122,74 +91,55 @@ func AssembleTraces(runs ...*Run) *TraceAssembly {
 		asm.Traces = append(asm.Traces, at)
 	}
 	sort.SliceStable(asm.Traces, func(i, j int) bool {
-		return asm.Traces[i].Root.Start.Before(asm.Traces[j].Root.Start)
+		return asm.Traces[i].Root.Span.Start.Before(asm.Traces[j].Root.Span.Start)
 	})
 	return asm
 }
 
 // assembleOne merges one trace ID's records into a tree.
-func assembleOne(id string, recs []TraceLine) *AssembledTrace {
+func assembleOne(id string, recs []*obs.TraceRecord) *AssembledTrace {
 	at := &AssembledTrace{TraceID: id}
 	// The client half anchors the tree; with several client records (not a
-	// shape the CLIs produce) the earliest wins and the rest are dropped
-	// into the server-graft pass below as unjoinable leftovers.
-	var client *TraceLine
-	for i := range recs {
-		tl := &recs[i]
-		if tl.Kind != "server" && (client == nil || tl.Span.Start.Before(client.Span.Start)) {
-			client = tl
+	// shape the CLIs produce) the earliest wins and the rest are dropped.
+	var client *obs.TraceRecord
+	for _, rec := range recs {
+		if rec.Kind != obs.TraceKindServer && (client == nil || rec.Span.Start.Before(client.Span.Start)) {
+			client = rec
 		}
 	}
 	if client != nil {
-		at.Root = nodeFromSpan(client.Span, client.Kind)
+		at.Root = client
 		at.RequestID = client.RequestID
 	}
-	for i := range recs {
-		tl := &recs[i]
-		if tl.Kind != "server" || tl.Span == nil {
+	for _, rec := range recs {
+		if rec.Kind != obs.TraceKindServer {
 			continue
 		}
-		node := nodeFromSpan(tl.Span, tl.Kind)
-		if client != nil && tl.ParentSpanID == client.SpanID {
+		if client != nil && rec.ParentSpanID == client.SpanID {
 			// The wire join: the server's parent span ID is the client span
 			// that carried the request, so the server tree nests under it.
-			at.Root.Children = append(at.Root.Children, node)
+			at.Grafts = append(at.Grafts, rec)
 			at.Complete = true
-			at.SkewMS = float64(tl.Span.Start.Sub(client.Span.Start)) / float64(time.Millisecond)
-			at.NetMS = client.Span.DurationMS - tl.Span.DurationMS
+			at.SkewMS = float64(rec.Span.Start.Sub(client.Span.Start)) / float64(time.Millisecond)
+			at.NetMS = client.Span.DurationMS - rec.Span.DurationMS
 			if at.RequestID == "" {
-				at.RequestID = tl.RequestID
+				at.RequestID = rec.RequestID
 			}
 		} else if at.Root == nil {
-			at.Root = node
-			at.RequestID = tl.RequestID
+			at.Root = rec
+			at.RequestID = rec.RequestID
 		} else if client == nil {
 			// Several server-only records: keep the first as root, graft the
 			// rest beside it so nothing sampled is silently dropped.
-			at.Root.Children = append(at.Root.Children, node)
+			at.Grafts = append(at.Grafts, rec)
 		}
 	}
 	return at
 }
 
-// nodeFromSpan converts a recorded span tree into TraceNodes of one kind.
-func nodeFromSpan(s *TraceSpan, kind string) *TraceNode {
-	n := &TraceNode{
-		Kind:       kind,
-		Name:       s.Name,
-		Start:      s.Start,
-		DurationMS: s.DurationMS,
-		Counters:   s.Counters,
-	}
-	for _, c := range s.Children {
-		n.Children = append(n.Children, nodeFromSpan(c, kind))
-	}
-	return n
-}
-
 // Write renders the assembly: one header per trace (IDs, completeness, the
-// skew and net/queue split) over the indented merged tree, with each span's
-// recording side tagged when it differs from its parent's.
+// skew and net/queue split) over the indented merged tree, with each
+// grafted span's recording side tagged when it differs from the root's.
 func (a *TraceAssembly) Write(w io.Writer) error {
 	if len(a.Traces) == 0 {
 		return fmt.Errorf("report: no sampled traces to assemble (run with tracing enabled: loadgen -trace-sample / advisord -trace-sample)")
@@ -207,21 +157,28 @@ func (a *TraceAssembly) Write(w io.Writer) error {
 			fmt.Fprintf(w, " — %s half only", at.Root.Kind)
 		}
 		fmt.Fprintln(w)
-		writeNode(w, at.Root, 1, at.Root.Kind)
+		writeSpan(w, at.Root.Span, 1, "")
+		for _, g := range at.Grafts {
+			tag := ""
+			if g.Kind != at.Root.Kind {
+				tag = g.Kind
+			}
+			writeSpan(w, g.Span, 2, tag)
+		}
 	}
 	return nil
 }
 
-// writeNode renders one span line and recurses. The [kind] tag appears only
-// at process boundaries, so a merged tree reads as one request with the hop
-// marked.
-func writeNode(w io.Writer, n *TraceNode, depth int, parentKind string) {
-	fmt.Fprintf(w, "%*s%s  %.2fms", 2*depth, "", n.Name, n.DurationMS)
-	if n.Kind != parentKind {
-		fmt.Fprintf(w, "  [%s]", n.Kind)
+// writeSpan renders one span line and recurses. A non-empty kind tags the
+// span as the head of another process's half, so a merged tree reads as
+// one request with the hop marked.
+func writeSpan(w io.Writer, s *obs.SpanRecord, depth int, kind string) {
+	fmt.Fprintf(w, "%*s%s  %.2fms", 2*depth, "", s.Name, s.DurationMS)
+	if kind != "" {
+		fmt.Fprintf(w, "  [%s]", kind)
 	}
 	fmt.Fprintln(w)
-	for _, c := range n.Children {
-		writeNode(w, c, depth+1, n.Kind)
+	for _, c := range s.Children {
+		writeSpan(w, c, depth+1, "")
 	}
 }

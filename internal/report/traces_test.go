@@ -1,24 +1,27 @@
 package report
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"hamlet/internal/obs"
 )
 
 // tracesRun builds an in-memory Run carrying the given trace records.
-func tracesRun(lines ...TraceLine) *Run { return &Run{Traces: lines} }
+func tracesRun(recs ...obs.TraceRecord) *Run { return &Run{Traces: recs} }
 
-func clientSpan(start time.Time, durMS float64) *TraceSpan {
-	return &TraceSpan{Name: "client(decide)", Start: start, DurationMS: durMS}
+func clientSpan(start time.Time, durMS float64) *obs.SpanRecord {
+	return &obs.SpanRecord{Name: "client(decide)", Start: start, DurationMS: durMS}
 }
 
-func serverSpan(start time.Time, durMS float64) *TraceSpan {
-	return &TraceSpan{
+func serverSpan(start time.Time, durMS float64) *obs.SpanRecord {
+	return &obs.SpanRecord{
 		Name: "server(decide)", Start: start, DurationMS: durMS,
-		Children: []*TraceSpan{
+		Children: []*obs.SpanRecord{
 			{Name: "decode", Start: start, DurationMS: 0.1},
 			{Name: "decide(Walmart)", Start: start, DurationMS: durMS - 0.2},
 		},
@@ -28,17 +31,17 @@ func serverSpan(start time.Time, durMS float64) *TraceSpan {
 func TestAssembleTracesJoinsHalves(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	client := tracesRun(
-		TraceLine{TraceID: "aaaa", SpanID: "c1", Kind: "client", RequestID: "req-1",
+		obs.TraceRecord{TraceID: "aaaa", SpanID: "c1", Kind: "client", RequestID: "req-1",
 			Span: clientSpan(t0, 5)},
-		TraceLine{TraceID: "bbbb", SpanID: "c2", Kind: "client", RequestID: "req-2",
+		obs.TraceRecord{TraceID: "bbbb", SpanID: "c2", Kind: "client", RequestID: "req-2",
 			Span: clientSpan(t0.Add(time.Second), 4)},
 	)
 	server := tracesRun(
 		// aaaa's server half parents on the client span: a complete trace.
-		TraceLine{TraceID: "aaaa", SpanID: "s1", ParentSpanID: "c1", Kind: "server",
+		obs.TraceRecord{TraceID: "aaaa", SpanID: "s1", ParentSpanID: "c1", Kind: "server",
 			RequestID: "req-1", Span: serverSpan(t0.Add(400*time.Microsecond), 3.8)},
 		// cccc has no client half: server-only.
-		TraceLine{TraceID: "cccc", SpanID: "s2", ParentSpanID: "nope", Kind: "server",
+		obs.TraceRecord{TraceID: "cccc", SpanID: "s2", ParentSpanID: "nope", Kind: "server",
 			RequestID: "req-3", Span: serverSpan(t0.Add(2*time.Second), 2)},
 	)
 	asm := AssembleTraces(client, server)
@@ -53,12 +56,12 @@ func TestAssembleTracesJoinsHalves(t *testing.T) {
 		t.Fatalf("joined trace = %+v", joined)
 	}
 	// The server tree nests under the client span.
-	if joined.Root.Kind != "client" || len(joined.Root.Children) != 1 {
-		t.Fatalf("joined root = %+v", joined.Root)
+	if joined.Root.Kind != "client" || len(joined.Grafts) != 1 {
+		t.Fatalf("joined root = %+v, grafts %+v", joined.Root, joined.Grafts)
 	}
-	srv := joined.Root.Children[0]
-	if srv.Kind != "server" || srv.Name != "server(decide)" || len(srv.Children) != 2 {
-		t.Fatalf("grafted server node = %+v", srv)
+	srv := joined.Grafts[0]
+	if srv.Kind != "server" || srv.Span.Name != "server(decide)" || len(srv.Span.Children) != 2 {
+		t.Fatalf("grafted server record = %+v", srv)
 	}
 	// Skew is the server start offset; net+queue is the duration gap.
 	if joined.SkewMS < 0.39 || joined.SkewMS > 0.41 {
@@ -100,6 +103,25 @@ func TestAssembleTracesJoinsHalves(t *testing.T) {
 		t.Errorf("[server] tags = %d, want 1 (the graft only):\n%s",
 			strings.Count(out, "[server]"), out)
 	}
+	const wantOut = `assembled 3 trace(s): 1 complete (client+server), 1 client-only, 1 server-only
+
+trace aaaa (request req-1) — skew +0.40ms, net+queue 1.20ms
+  client(decide)  5.00ms
+    server(decide)  3.80ms  [server]
+      decode  0.10ms
+      decide(Walmart)  3.60ms
+
+trace bbbb (request req-2) — client half only
+  client(decide)  4.00ms
+
+trace cccc (request req-3) — server half only
+  server(decide)  2.00ms
+    decode  0.10ms
+    decide(Walmart)  1.80ms
+`
+	if out != wantOut {
+		t.Errorf("render diverged:\ngot:\n%s\nwant:\n%s", out, wantOut)
+	}
 }
 
 func TestAssembleTracesEmpty(t *testing.T) {
@@ -110,6 +132,59 @@ func TestAssembleTracesEmpty(t *testing.T) {
 	if err := asm.Write(&strings.Builder{}); err == nil {
 		t.Error("rendering an empty assembly must error (vacuous)")
 	}
+}
+
+// TestTraceRecordRoundTrip: a trace kept through TraceLog reads back whole
+// both into the writer's own obs.TraceRecord and through Load, span name,
+// counters and children included.
+func TestTraceRecordRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	rd, err := obs.OpenRunDir(dir, &obs.RunInfo{Tool: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := obs.StartSpan("server(decide)")
+	root.Add("queries", 2)
+	child := root.Child("decide(Walmart)")
+	child.Add("hits", 1)
+	child.End()
+	root.End()
+	want := obs.TraceRecord{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8),
+		Kind: obs.TraceKindServer, RequestID: "r-1", Span: root.Record()}
+	if err := rd.Traces().Append(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Close(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, got obs.TraceRecord) {
+		t.Helper()
+		if got.TraceID != want.TraceID || got.SpanID != want.SpanID || got.Kind != want.Kind || got.RequestID != want.RequestID {
+			t.Errorf("%s: record = %+v", how, got)
+		}
+		s := got.Span
+		if s == nil || s.Name != "server(decide)" || s.Counters["queries"] != 2 || s.DurationMS != want.Span.DurationMS ||
+			len(s.Children) != 1 || s.Children[0].Name != "decide(Walmart)" || s.Children[0].Counters["hits"] != 1 {
+			t.Errorf("%s: span = %+v", how, s)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, obs.TracesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec obs.TraceRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	check("json.Unmarshal", rec)
+	run, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Traces) != 1 {
+		t.Fatalf("Load read %d trace records, want 1", len(run.Traces))
+	}
+	check("Load", run.Traces[0])
 }
 
 // TestLoadTraceLines pins the read half of the traces.jsonl contract

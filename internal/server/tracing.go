@@ -92,7 +92,7 @@ func (s *Server) finishTrace(st traceState, requestID string, elapsed time.Durat
 		ParentSpanID: st.parent,
 		Kind:         obs.TraceKindServer,
 		RequestID:    requestID,
-		Span:         st.span,
+		Span:         st.span.Record(),
 	}); err == nil {
 		s.traces.Add(1)
 	}

@@ -20,9 +20,7 @@
 # count, GOMAXPROCS, the CPU model `go test` reports); benchmarks is one
 # {name, iterations, ns_per_op, bytes_per_op, allocs_per_op} object per
 # benchmark line (repeated names = repeated samples, one per pass). Compare two
-# snapshots with `go run ./cmd/benchdiff old.json new.json` — it also still
-# reads the bare-array snapshots this script emitted before the meta header
-# existed.
+# snapshots with `go run ./cmd/benchdiff old.json new.json`.
 set -eu
 
 cd "$(dirname "$0")/.."

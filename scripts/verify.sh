@@ -22,11 +22,12 @@
 #      exit 1, and the injected memory-only regression (B/op + allocs/op
 #      moved, ns/op flat) must also exit 1, so both halves of the perf gate
 #      are themselves gated; a single-sample baseline must exit 3
-#      (vacuous), since no delta against it can be t-tested.
+#      (vacuous), since no delta against it can be t-tested; and an
+#      out-of-range gate parameter (-alpha 0) must exit 2 (usage).
 #   8. report smoke test against the committed run-dir fixtures: tables
-#      must render, the identical-run diff must exit 0, and the
-#      seeded-drift fixture must exit 1, so the accuracy gate itself is
-#      gated the same way.
+#      and the trace.json profile must render, the identical-run diff
+#      must exit 0, and the seeded-drift fixture must exit 1, so the
+#      accuracy gate itself is gated the same way.
 #   9. loadgen smoke test: a short in-process load run must produce a run
 #      dir whose histograms.json `report latency` renders with exit 0; the
 #      committed seeded-regression fixture must make the latency gate exit
@@ -104,9 +105,18 @@ if [ "$code" != 3 ]; then
     echo "verify: benchdiff exited $code on the single-sample baseline fixture, want 3 (vacuous)" >&2
     exit 1
 fi
+set +e
+"$loadgen_dir/benchdiff" -q -alpha 0 cmd/benchdiff/testdata/old.json cmd/benchdiff/testdata/new_regressed.json >/dev/null 2>&1
+code=$?
+set -e
+if [ "$code" != 2 ]; then
+    echo "verify: benchdiff exited $code on -alpha 0, want 2 (usage)" >&2
+    exit 1
+fi
 
 echo "verify: report smoke" >&2
 go run ./cmd/report tables internal/report/testdata/base >/dev/null
+go run ./cmd/report trace internal/report/testdata/base >/dev/null
 go run ./cmd/report diff -q internal/report/testdata/base internal/report/testdata/base >/dev/null
 if go run ./cmd/report diff -q internal/report/testdata/base internal/report/testdata/drift >/dev/null 2>&1; then
     echo "verify: report diff failed to flag the seeded-drift fixture" >&2
