@@ -6,8 +6,8 @@ package hamlet
 // micro-benchmarks for the substrate operations whose costs drive the
 // paper's runtime results (Monte Carlo world sampling, KFK joins, Naive
 // Bayes fitting, prediction and subset scoring, MI/IGR scoring, greedy
-// selection steps, logistic regression epochs, and the decision rules
-// themselves).
+// selection steps, one hamlet.Analyze call, logistic regression epochs, and
+// the decision rules themselves).
 //
 // Run with:
 //
@@ -185,9 +185,33 @@ func BenchmarkNBPredict(b *testing.B) {
 // BenchmarkNBSubsetScore measures the wrapper-search fast path: scoring one
 // forward-selection candidate (current+f) over a 50k-row design from kept
 // prefix scores, one table lookup and addition per (row, class) whatever
-// the subset's size.
+// the subset's size. The design is the Monte Carlo world's, so binary.
 func BenchmarkNBSubsetScore(b *testing.B) {
-	m := benchWorldDesign(50000)
+	benchSubsetScore(b, benchWorldDesign(50000))
+}
+
+// BenchmarkNBSubsetScore5Classes is BenchmarkNBSubsetScore on a 5-class
+// design of the same row count, the MovieLens1M mimic's JoinAll design, so
+// it times the scorer's multi-class pick.
+func BenchmarkNBSubsetScore5Classes(b *testing.B) {
+	spec, err := synth.MimicByName("MovieLens1M")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := spec.Generate(0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := ds.Materialize(ds.JoinAllPlan())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSubsetScore(b, m)
+}
+
+// benchSubsetScore times SubsetScorer.Predict on m for the candidates
+// {0, 2, f}, f >= 3, after scoring their prefix {0, 2}.
+func benchSubsetScore(b *testing.B, m *dataset.Design) {
 	sc := nb.NewSubsetScorer(nb.NewStats(m), 1, m)
 	var cands [][]int
 	for f := 3; f < m.NumFeatures(); f++ {
@@ -238,6 +262,40 @@ func BenchmarkForwardSelection(b *testing.B) {
 		if _, err := (fs.Forward{}).Select(nb.New(), train, val); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAnalyze measures the analyze workload's operation, one
+// hamlet.Analyze call (advisor, then JoinAll and JoinOpt each materialized,
+// split, selected on and tested), per sub-benchmark's method on a binary
+// mimic (Expedia) and a 5-class one (MovieLens1M) at the workload's scale.
+func BenchmarkAnalyze(b *testing.B) {
+	var inputs []*Dataset
+	for _, name := range []string{"Expedia", "MovieLens1M"} {
+		spec, err := synth.MimicByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := spec.Generate(0.02, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, d)
+	}
+	for _, m := range []struct {
+		name string
+		sel  FeatureSelector
+	}{{"forward", ForwardSelection()}, {"mi", MIFilter()}} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, d := range inputs {
+					if _, err := Analyze(d, m.sel, nil, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

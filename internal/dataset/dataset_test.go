@@ -371,6 +371,77 @@ func TestMaterializeRejectsDanglingFK(t *testing.T) {
 		if _, err := materializeViaJoin(d, d.JoinAllPlan()); err == nil {
 			t.Errorf("%s: the join oracle accepted the same input", tc.name)
 		}
+		split, serr := DefaultSplit(d.NumRows(), stats.NewRNG(1))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if _, _, _, serr := d.MaterializeSplit(d.JoinAllPlan(), split); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("%s: MaterializeSplit error %v, Materialize error %v", tc.name, serr, err)
+		}
+	}
+}
+
+// TestMaterializeSplitMatchesApply pins the one-gather path to the two-step
+// one it replaces: on the running example's named plans and on random
+// datasets, plans and splits, MaterializeSplit returns Materialize then
+// Split.Apply's three designs cell for cell, each column capped at its part
+// (so an append to one part cannot overwrite the next), and counts as the
+// one materialization Materialize counts.
+func TestMaterializeSplitMatchesApply(t *testing.T) {
+	check := func(d *Dataset, p Plan, split *Split) {
+		t.Helper()
+		before := [3]int64{materializeCount.Value(), materializeRows.Value(), materializeCells.Value()}
+		m, err := d.Materialize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := [3]int64{materializeCount.Value(), materializeRows.Value(), materializeCells.Value()}
+		train, val, test, err := d.MaterializeSplit(p, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, after := range [3]int64{materializeCount.Value(), materializeRows.Value(), materializeCells.Value()} {
+			if after-mid[i] != mid[i]-before[i] {
+				t.Fatalf("counter %d moved by %d, Materialize moves it by %d", i, after-mid[i], mid[i]-before[i])
+			}
+		}
+		wantTrain, wantVal, wantTest := split.Apply(m)
+		for k, pair := range [][2]*Design{{wantTrain, train}, {wantVal, val}, {wantTest, test}} {
+			designsEqual(t, pair[0], pair[1])
+			if got := pair[1]; cap(got.Y) != len(got.Y) {
+				t.Fatalf("part %d: labels not capped", k)
+			}
+			for _, ft := range pair[1].Features {
+				if cap(ft.Data) != len(ft.Data) {
+					t.Fatalf("part %d: feature %q not capped", k, ft.Name)
+				}
+			}
+		}
+	}
+	d := churn()
+	split, err := NewSplit(d.NumRows(), DefaultFractions, stats.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Plan{d.JoinAllPlan(), d.NoJoinsPlan(), d.JoinAllNoFKPlan()} {
+		check(d, p, split)
+	}
+	rng := rand.New(rand.NewSource(12))
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		d := randDataset(rng)
+		if d.NumRows() < 4 {
+			continue
+		}
+		split, err := DefaultSplit(d.NumRows(), stats.NewRNG(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(d, randPlan(rng, d), split)
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d random datasets had enough rows to split", checked)
 	}
 }
 

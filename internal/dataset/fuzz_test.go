@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"hamlet/internal/relational"
+	"hamlet/internal/stats"
 )
 
 // fuzzDataset decodes fuzz bytes into a normalized dataset and a plan.
@@ -64,15 +66,18 @@ func fuzzDataset(entity, attr []byte, plan uint8) (*Dataset, Plan) {
 	return d, p
 }
 
-// FuzzMaterialize checks the production design-matrix path against the
+// FuzzMaterialize checks the production design-matrix paths against the
 // generic join oracle on arbitrary schemas and plans: Materialize must fail
 // exactly when materializeViaJoin does, must otherwise return the same
-// design cell for cell, and must never panic. corrupt, when nonzero,
-// damages the last attribute table's FK: odd values overwrite one RID with
-// corrupt>>1 (which may dangle or be negative), even values shift the FK's
-// declared cardinality by corrupt>>1. Run `go test -fuzz=FuzzMaterialize
-// ./internal/dataset` to explore beyond the seeds; CI runs a short leg on
-// every push.
+// design cell for cell, and must never panic. With at least 4 entity rows
+// it also draws a 50/25/25 split from the input: MaterializeSplit must fail
+// exactly when Materialize does, and must otherwise return the oracle's
+// design through SelectRows of each part, every column capped at its part.
+// corrupt, when nonzero, damages the last attribute table's FK: odd values
+// overwrite one RID with corrupt>>1 (which may dangle or be negative), even
+// values shift the FK's declared cardinality by corrupt>>1. Run `go test
+// -fuzz=FuzzMaterialize ./internal/dataset` to explore beyond the seeds; CI
+// runs a short leg on every push.
 func FuzzMaterialize(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, []byte{3, 1, 4, 1, 5}, uint8(0xfe), int16(0))
 	f.Add([]byte{}, []byte{0}, uint8(0x01), int16(0))
@@ -80,6 +85,8 @@ func FuzzMaterialize(f *testing.F) {
 	f.Add([]byte{255, 0, 127}, []byte{255, 255, 0}, uint8(0x1d), int16(-3))
 	f.Add([]byte{7, 8}, []byte{2, 7, 1}, uint8(0x15), int16(4))
 	f.Add([]byte{1, 2, 3}, []byte{}, uint8(0x00), int16(0))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, []byte{2, 7, 1, 8, 2, 8}, uint8(0x3e), int16(0))
+	f.Add([]byte{1, 1, 2, 3, 5, 8, 13}, []byte{9, 9}, uint8(0x16), int16(2*3+1))
 	f.Fuzz(func(t *testing.T, entity, attr []byte, plan uint8, corrupt int16) {
 		if len(entity) > 1<<12 || len(attr) > 1<<10 {
 			return
@@ -99,9 +106,38 @@ func FuzzMaterialize(f *testing.F) {
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("Materialize error %v, join oracle error %v", err, wantErr)
 		}
-		if err != nil {
+		if err == nil {
+			designsEqual(t, want, got)
+		}
+		if d.NumRows() < 4 {
 			return
 		}
-		designsEqual(t, want, got)
+		h := fnv.New64a()
+		h.Write(entity)
+		h.Write(attr)
+		h.Write([]byte{plan})
+		split, serr := DefaultSplit(d.NumRows(), stats.NewRNG(h.Sum64()))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		train, val, test, serr := d.MaterializeSplit(p, split)
+		if (serr != nil) != (err != nil) {
+			t.Fatalf("MaterializeSplit error %v, Materialize error %v", serr, err)
+		}
+		if serr != nil {
+			return
+		}
+		for k, part := range [][]int{split.Train, split.Validation, split.Test} {
+			gotPart := []*Design{train, val, test}[k]
+			designsEqual(t, want.SelectRows(part), gotPart)
+			if cap(gotPart.Y) != len(gotPart.Y) {
+				t.Fatalf("part %d: labels have capacity %d past their %d rows", k, cap(gotPart.Y), len(gotPart.Y))
+			}
+			for _, ft := range gotPart.Features {
+				if cap(ft.Data) != len(ft.Data) {
+					t.Fatalf("part %d feature %q: capacity %d past its %d rows", k, ft.Name, cap(ft.Data), len(ft.Data))
+				}
+			}
+		}
 	})
 }

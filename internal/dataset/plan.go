@@ -81,37 +81,137 @@ func (d *Dataset) JoinAllNoFKPlan() Plan {
 // Materialize builds the design matrix for the given plan: home features
 // first, then (usable) FK features, then foreign features of each joined
 // attribute table, in declaration order. It validates the plan's FKs and the
-// referential integrity of every joined FK.
+// referential integrity of every joined FK. Entity columns are shared with
+// the entity table; foreign features are gathered through their FK.
 func (d *Dataset) Materialize(p Plan) (*Design, error) {
+	y, cols, err := d.planColumns(p)
+	if err != nil {
+		return nil, err
+	}
+	out := &Design{NumClasses: y.Card, Y: y.Data, Features: make([]Feature, len(cols))}
+	for i, c := range cols {
+		out.Features[i] = c.Feature
+		if c.attr == nil {
+			out.Features[i].Data = c.entity.Data
+			continue
+		}
+		gathered := make([]int32, c.entity.Len())
+		for j, rid := range c.entity.Data {
+			gathered[j] = c.attr.Data[rid]
+		}
+		out.Features[i].Data = gathered
+	}
+	countMaterialized(out.NumRows(), out.NumFeatures())
+	return out, nil
+}
+
+// MaterializeSplit builds the plan's design matrix for the three parts of
+// the split at once, equal to Materialize followed by s.Apply. It gathers
+// every column, the labels included, once, in train‖validation‖test row
+// order, straight from the entity and attribute tables: a foreign feature
+// reads its attribute column through the entity table's FK, row by row,
+// with no full-length intermediate column. The three designs are views of
+// that gather, each column capped at its part's length, so an append to
+// one part cannot overwrite the next. The split's indices must be rows of
+// the entity table, as NewSplit's are. It counts as one materialization of
+// the split's rows.
+func (d *Dataset) MaterializeSplit(p Plan, s *Split) (train, val, test *Design, err error) {
+	y, cols, err := d.planColumns(p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	parts := [3][]int{s.Train, s.Validation, s.Test}
+	n := len(s.Train) + len(s.Validation) + len(s.Test)
+	// One allocation per column, not one for the whole design: a single
+	// multi-megabyte block raised the analyze workload's peak RSS.
+	gathered := make([][]int32, len(cols)+1)
+	for i := range gathered {
+		gathered[i] = make([]int32, n)
+	}
+	gatherRows(gathered[0], y.Data, parts)
+	for i, c := range cols {
+		dst := gathered[i+1]
+		if c.attr == nil {
+			gatherRows(dst, c.entity.Data, parts)
+			continue
+		}
+		j := 0
+		for _, rows := range parts {
+			for _, r := range rows {
+				dst[j] = c.attr.Data[c.entity.Data[r]]
+				j++
+			}
+		}
+	}
+	var out [3]*Design
+	lo := 0
+	for k, rows := range parts {
+		hi := lo + len(rows)
+		m := &Design{NumClasses: y.Card, Y: gathered[0][lo:hi:hi], Features: make([]Feature, len(cols))}
+		for i, c := range cols {
+			m.Features[i] = c.Feature
+			m.Features[i].Data = gathered[i+1][lo:hi:hi]
+		}
+		out[k], lo = m, hi
+	}
+	countMaterialized(n, len(cols))
+	return out[0], out[1], out[2], nil
+}
+
+// gatherRows copies data's values at the parts' row indices into dst, the
+// parts one after another.
+func gatherRows(dst, data []int32, parts [3][]int) {
+	j := 0
+	for _, rows := range parts {
+		for _, r := range rows {
+			dst[j] = data[r]
+			j++
+		}
+	}
+}
+
+// planColumn is one design-matrix column of a plan before it is gathered:
+// the feature's metadata (Data unset) and where its values come from.
+// entity is the entity column read per row: the feature's own column, or
+// for a foreign feature (attr non-nil) the FK whose codes index attr, the
+// attribute-table column.
+type planColumn struct {
+	Feature
+	entity, attr *relational.Column
+}
+
+// planColumns validates p against d and returns the target column and the
+// plan's columns in design order.
+func (d *Dataset) planColumns(p Plan) (*relational.Column, []planColumn, error) {
 	y := d.Entity.Column(d.Target)
 	if y == nil {
-		return nil, fmt.Errorf("dataset %q: target %q missing", d.Name, d.Target)
+		return nil, nil, fmt.Errorf("dataset %q: target %q missing", d.Name, d.Target)
 	}
 	for _, fk := range p.JoinFKs {
 		at := d.AttrByFK(fk)
 		if at == nil {
-			return nil, fmt.Errorf("dataset %q: plan joins unknown FK %q", d.Name, fk)
+			return nil, nil, fmt.Errorf("dataset %q: plan joins unknown FK %q", d.Name, fk)
 		}
 		// The gather indexes the attribute table by RID, so a dangling FK
 		// must be an error here rather than an index panic below.
 		if err := relational.CheckRef(d.Entity.Column(fk), at.Table); err != nil {
-			return nil, fmt.Errorf("dataset %q: %w", d.Name, err)
+			return nil, nil, fmt.Errorf("dataset %q: %w", d.Name, err)
 		}
 	}
 	for _, fk := range p.DropFKs {
 		if d.AttrByFK(fk) == nil {
-			return nil, fmt.Errorf("dataset %q: plan drops unknown FK %q", d.Name, fk)
+			return nil, nil, fmt.Errorf("dataset %q: plan drops unknown FK %q", d.Name, fk)
 		}
 	}
-	out := &Design{NumClasses: y.Card, Y: y.Data}
+	var cols []planColumn
 	for _, name := range d.HomeFeatures {
 		c := d.Entity.Column(name)
-		out.Features = append(out.Features, Feature{Name: c.Name, Card: c.Card, Data: c.Data, Source: "S"})
+		cols = append(cols, planColumn{Feature: Feature{Name: c.Name, Card: c.Card, Source: "S"}, entity: c})
 	}
 	for _, at := range d.Attrs {
 		if at.ClosedDomain && !contains(p.DropFKs, at.FK) {
 			fk := d.Entity.Column(at.FK)
-			out.Features = append(out.Features, Feature{Name: fk.Name, Card: fk.Card, Data: fk.Data, Source: "S", IsFK: true})
+			cols = append(cols, planColumn{Feature: Feature{Name: fk.Name, Card: fk.Card, Source: "S", IsFK: true}, entity: fk})
 		}
 	}
 	for _, at := range d.Attrs {
@@ -120,16 +220,16 @@ func (d *Dataset) Materialize(p Plan) (*Design, error) {
 		}
 		fk := d.Entity.Column(at.FK)
 		for _, rc := range at.Table.Columns() {
-			gathered := make([]int32, fk.Len())
-			for i, rid := range fk.Data {
-				gathered[i] = rc.Data[rid]
-			}
-			out.Features = append(out.Features, Feature{Name: rc.Name, Card: rc.Card, Data: gathered, Source: at.Table.Name})
+			cols = append(cols, planColumn{Feature: Feature{Name: rc.Name, Card: rc.Card, Source: at.Table.Name}, entity: fk, attr: rc})
 		}
 	}
+	return y, cols, nil
+}
+
+// countMaterialized records one design of the given shape.
+func countMaterialized(rows, features int) {
 	materializeCount.Inc()
-	materializeRows.Add(int64(out.NumRows()))
-	materializeCells.Add(int64(out.NumRows()) * int64(out.NumFeatures()))
-	materializeHist.Observe(int64(out.NumRows()))
-	return out, nil
+	materializeRows.Add(int64(rows))
+	materializeCells.Add(int64(rows) * int64(features))
+	materializeHist.Observe(int64(rows))
 }

@@ -334,13 +334,12 @@ func RunFig9(b Budget) (*Result, error) {
 		row := []string{spec.Name, ml.MetricName(spec.Classes)}
 		for _, pen := range []logreg.Penalty{logreg.L1, logreg.L2} {
 			for _, plan := range []dataset.Plan{p.data.JoinAllPlan(), optPlan} {
-				design, err := p.data.Materialize(plan)
+				train, val, test, err := p.data.MaterializeSplit(plan, p.split)
 				if err != nil {
 					return nil, err
 				}
-				train, val, test := p.split.Apply(design)
 				emb := fs.Embedded{Penalty: pen}
-				sp := b.Trace.Child(fmt.Sprintf("%s: embedded(%v, d=%d)", spec.Name, pen, design.NumFeatures()))
+				sp := b.Trace.Child(fmt.Sprintf("%s: embedded(%v, d=%d)", spec.Name, pen, train.NumFeatures()))
 				mod, err := emb.FitBest(train, val)
 				sp.End()
 				if err != nil {
@@ -408,12 +407,11 @@ func RunTAN(b Budget) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		design, err := p.data.Materialize(p.data.JoinAllPlan())
+		train, _, test, err := p.data.MaterializeSplit(p.data.JoinAllPlan(), p.split)
 		if err != nil {
 			return nil, err
 		}
-		train, _, test := p.split.Apply(design)
-		feats := make([]int, design.NumFeatures())
+		feats := make([]int, train.NumFeatures())
 		for i := range feats {
 			feats[i] = i
 		}

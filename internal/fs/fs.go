@@ -7,7 +7,10 @@
 // All methods follow the paper's holdout protocol: models are trained on the
 // training split and subsets compared by their error on the validation
 // split; the caller reports final accuracy on the untouched test split.
-// EvaluatePlan runs that whole protocol for one join plan.
+// EvaluatePlan runs that whole protocol for one join plan, on one gather of
+// the plan's columns in train‖validation‖test row order
+// (dataset.MaterializeSplit): the three splits are views of it, so a plan's
+// rows are copied once, not materialized and then copied again per split.
 //
 // Wrapper search over Naive Bayes uses the decomposability fast path
 // (internal/ml/nb.SubsetScorer): sufficient statistics and per-feature
@@ -18,7 +21,8 @@
 // is rebuilt from the prior with one table lookup per (row, class,
 // feature). The cost of greedy search therefore follows the number of
 // subsets scored, which is how the paper's runtimes scale with the number
-// of candidate features (Figure 7).
+// of candidate features (Figure 7). Each candidate picks a validation row's
+// class without a branch per class (see package nb).
 // fs.subset_evaluations counts those candidates; no nb.Model is built for
 // them, so nb.models_assembled does not move during selection.
 package fs

@@ -32,24 +32,23 @@ type PlanOutcome struct {
 }
 
 // EvaluatePlan is the paper's end-to-end protocol for one join plan (§5,
-// Figure 7): it materializes the plan, runs the method with Naive Bayes
-// over the holdout split's training and validation rows, and scores the
-// selected subset on the test rows. Each stage is recorded as a child of
-// sp, which it ends; sp may be nil for untraced runs. hamlet.Analyze,
-// hamlet.EvaluatePlan and the figure runners all evaluate plans here.
+// Figure 7): it materializes the plan's training, validation and test rows
+// in one gather (dataset.MaterializeSplit), runs the method with Naive Bayes
+// over the training and validation rows, and scores the selected subset on
+// the test rows. Each stage is recorded as a child of sp, which it ends; sp
+// may be nil for untraced runs. hamlet.Analyze, hamlet.EvaluatePlan and the
+// figure runners all evaluate plans here.
 func EvaluatePlan(d *dataset.Dataset, p dataset.Plan, method Method, split *dataset.Split, sp *obs.Span) (PlanOutcome, error) {
 	defer sp.End()
 	mat := sp.Child("materialize")
-	design, err := d.Materialize(p)
+	train, val, test, err := d.MaterializeSplit(p, split)
 	mat.End()
 	if err != nil {
 		return PlanOutcome{}, err
 	}
-	// Count now, so the unsplit design is not kept live through selection.
-	inputFeatures := design.NumFeatures()
-	mat.Add("rows", int64(design.NumRows()))
+	inputFeatures := train.NumFeatures()
+	mat.Add("rows", int64(train.NumRows()+val.NumRows()+test.NumRows()))
 	mat.Add("features", int64(inputFeatures))
-	train, val, test := split.Apply(design)
 	sel := sp.Child("select(" + method.Name() + ")")
 	start := time.Now()
 	res, err := method.Select(nb.New(), train, val)

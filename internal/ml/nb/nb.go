@@ -14,12 +14,23 @@
 // comparison tractable; the speedups there are driven by the number of
 // candidate features in play.
 //
+// A candidate picks each evaluation row's class without a branch per class:
+// Model.Predict's strict-> argmax scan runs in conditional moves, over the
+// scan's own float comparisons for two classes and over order-preserving
+// integer keys (scoreKey) for more. Both pick the scan's class for every
+// float score, NaN, ±Inf and ±0 included, so predictions stay bit-identical
+// to Model.Predict.
+//
 // The bias–variance Monte Carlo (biasvar.RunWorld) makes the same split per
 // trial: one Stats per training sample, and one SubsetScorer over the test
 // design that predicts every model class, rebound to the next sample with
 // Reset. Neither wrapper search nor a Monte Carlo trial builds a Model, so
 // during them nb.fits and nb.models_assembled stay put while nb.stats_builds
 // counts one tabulation per training sample.
+//
+// Learner.Fit tabulates only the features of the subset it fits, since the
+// model reads no other counts; nb.stats_builds counts that subset pass too,
+// one per tabulation whatever its width.
 package nb
 
 import (
@@ -32,10 +43,11 @@ import (
 	"hamlet/internal/obs"
 )
 
-// Naive Bayes instrumentation: full sufficient-statistics tabulations (the
-// expensive counting pass), Model builds from statistics (ModelFromStats,
-// so every Fit; subset scoring in wrapper search builds no Model and is
-// counted by fs.subset_evaluations instead), and Learner.Fit calls.
+// Naive Bayes instrumentation: sufficient-statistics tabulations (the
+// expensive counting pass: NewStats over every feature, or Learner.Fit over
+// its subset), Model builds from statistics (ModelFromStats, so every Fit;
+// subset scoring in wrapper search builds no Model and is counted by
+// fs.subset_evaluations instead), and Learner.Fit calls.
 var (
 	statsBuilds     = obs.C("nb.stats_builds")
 	statsRowsHist   = obs.H("nb.stats_rows")
@@ -54,7 +66,8 @@ type Stats struct {
 	// ClassCounts[c] is the number of examples with Y = c.
 	ClassCounts []int
 	// Counts[f][c*card_f + v] counts examples with Y = c and feature f
-	// taking value v.
+	// taking value v. It is nil for a feature that was not tabulated:
+	// Learner.Fit counts only the subset it fits.
 	Counts [][]int
 	// Cards[f] is feature f's cardinality.
 	Cards []int
@@ -62,6 +75,16 @@ type Stats struct {
 
 // NewStats tabulates sufficient statistics for every feature of m.
 func NewStats(m *dataset.Design) *Stats {
+	s := newStats(m)
+	for f := range m.Features {
+		s.count(m, f)
+	}
+	return s
+}
+
+// newStats counts m's classes and records every feature's cardinality,
+// leaving the feature counts to count.
+func newStats(m *dataset.Design) *Stats {
 	statsBuilds.Inc()
 	statsRowsHist.Observe(int64(m.NumRows()))
 	s := &Stats{
@@ -75,16 +98,23 @@ func NewStats(m *dataset.Design) *Stats {
 		s.ClassCounts[y]++
 	}
 	for f := range m.Features {
-		card := m.Features[f].Card
-		s.Cards[f] = card
-		tab := make([]int, m.NumClasses*card)
-		data := m.Features[f].Data
-		for i, y := range m.Y {
-			tab[int(y)*card+int(data[i])]++
-		}
-		s.Counts[f] = tab
+		s.Cards[f] = m.Features[f].Card
 	}
 	return s
+}
+
+// count tabulates feature f's class-conditional counts, once.
+func (s *Stats) count(m *dataset.Design, f int) {
+	if s.Counts[f] != nil {
+		return
+	}
+	card := s.Cards[f]
+	tab := make([]int, m.NumClasses*card)
+	data := m.Features[f].Data
+	for i, y := range m.Y {
+		tab[int(y)*card+int(data[i])]++
+	}
+	s.Counts[f] = tab
 }
 
 // Model is a Naive Bayes model over a feature subset, backed by shared
@@ -130,15 +160,16 @@ func (mod *Model) Predict(m *dataset.Design, row int) int32 {
 }
 
 // checkSubset validates a feature subset and smoothing pseudo-count against
-// the statistics: indices first, then alpha.
+// the statistics: indices first, then alpha, which must be positive and
+// finite (a NaN or +Inf alpha makes every score NaN).
 func checkSubset(s *Stats, features []int, alpha float64) error {
 	for _, f := range features {
 		if f < 0 || f >= len(s.Counts) {
 			return fmt.Errorf("nb: feature index %d out of range [0,%d)", f, len(s.Counts))
 		}
 	}
-	if alpha <= 0 {
-		return fmt.Errorf("nb: smoothing alpha must be positive, got %v", alpha)
+	if !(alpha > 0) || math.IsInf(alpha, 1) {
+		return fmt.Errorf("nb: smoothing alpha must be positive and finite, got %v", alpha)
 	}
 	return nil
 }
@@ -194,12 +225,17 @@ func New() *Learner { return &Learner{Alpha: 1} }
 // Name implements ml.Learner.
 func (l *Learner) Name() string { return "naive-bayes" }
 
-// Fit implements ml.Learner: it tabulates sufficient statistics over m and
-// assembles a model over the subset.
+// Fit implements ml.Learner: it tabulates sufficient statistics over m for
+// the subset's features only and assembles a model over them. The counts
+// are integers, so the model equals one built from NewStats(m).
 func (l *Learner) Fit(m *dataset.Design, features []int) (ml.Model, error) {
 	if err := ml.CheckFeatures(m, features); err != nil {
 		return nil, err
 	}
 	fitCalls.Inc()
-	return ModelFromStats(NewStats(m), features, l.Alpha)
+	s := newStats(m)
+	for _, f := range features {
+		s.count(m, f)
+	}
+	return ModelFromStats(s, features, l.Alpha)
 }

@@ -2,6 +2,7 @@ package nb
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -157,8 +158,53 @@ func TestModelFromStatsErrors(t *testing.T) {
 	if _, err := ModelFromStats(s, []int{5}, 1); err == nil {
 		t.Fatal("out-of-range feature accepted")
 	}
-	if _, err := ModelFromStats(s, []int{0}, 0); err == nil {
-		t.Fatal("nonpositive alpha accepted")
+	for _, alpha := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := ModelFromStats(s, []int{0}, alpha); err == nil {
+			t.Fatalf("alpha %v accepted by ModelFromStats", alpha)
+		}
+		if _, err := (&Learner{Alpha: alpha}).Fit(tiny(), []int{0}); err == nil {
+			t.Fatalf("alpha %v accepted by Learner.Fit", alpha)
+		}
+	}
+}
+
+// TestFitCountsOnlyItsSubset pins the subset-only fit: Learner.Fit
+// tabulates the requested features and no other, counts that as one
+// statistics build, and predicts exactly as a model over the full
+// statistics does.
+func TestFitCountsOnlyItsSubset(t *testing.T) {
+	r := stats.NewRNG(17)
+	m := randomDesign(r, 300, 3, []int{4, 7, 2, 30, 5})
+	for _, subset := range [][]int{nil, {3}, {4, 1}, {1, 1, 3}} {
+		builds := statsBuilds.Value()
+		mod, err := New().Fit(m, subset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := statsBuilds.Value() - builds; got != 1 {
+			t.Fatalf("subset %v: Fit counted %d statistics builds, want 1", subset, got)
+		}
+		fit := mod.(*Model)
+		for f, counts := range fit.stats.Counts {
+			if in := slices.Contains(subset, f); in != (counts != nil) {
+				t.Fatalf("subset %v: feature %d tabulated = %v", subset, f, counts != nil)
+			}
+		}
+		full, err := ModelFromStats(NewStats(m), subset, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < m.NumRows(); row++ {
+			if got, want := fit.Predict(m, row), full.Predict(m, row); got != want {
+				t.Fatalf("subset %v row %d: Fit model %d, full-statistics model %d", subset, row, got, want)
+			}
+			got, want := fit.Posterior(m, row), full.Posterior(m, row)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("subset %v row %d class %d: posterior %v, want %v", subset, row, c, got[c], want[c])
+				}
+			}
+		}
 	}
 }
 
