@@ -59,8 +59,9 @@ type Report struct {
 	// run was too fast to time and the subset-evaluation ratio is used
 	// instead, "" when neither basis is available.
 	SpeedupBasis string
-	// Trace is the span tree of the run: materialization vs selection vs
-	// train/eval time per plan, with per-stage counters.
+	// Trace is the span tree of the run: the advisor, the split's one
+	// JoinAll gather, then per plan its view (materialize) vs selection vs
+	// train/eval time, with per-stage counters.
 	Trace *Span
 }
 
@@ -68,7 +69,8 @@ type Report struct {
 // advisor decides which joins are safe to avoid, then the feature selection
 // method runs over both the JoinAll and JoinOpt designs with Naive Bayes
 // under the 50/25/25 holdout protocol, and the report compares errors and
-// runtimes. The advisor may be nil for the paper's defaults.
+// runtimes. Both plans are views of one gather of JoinAll's columns over
+// the split. The advisor may be nil for the paper's defaults.
 func Analyze(d *Dataset, method FeatureSelector, adv *Advisor, seed uint64) (*Report, error) {
 	if d == nil {
 		return nil, fmt.Errorf("hamlet: nil dataset")
@@ -97,11 +99,18 @@ func Analyze(d *Dataset, method FeatureSelector, adv *Advisor, seed uint64) (*Re
 		Decisions: decisions,
 		Trace:     root,
 	}
-	rep.JoinAll, err = fs.EvaluatePlan(d, d.JoinAllPlan(), method, split, root.Child("plan(JoinAll)"))
+	joinAll := d.JoinAllPlan()
+	sp = root.Child("gather")
+	g, err := d.GatherSplit(joinAll, split)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	rep.JoinOpt, err = fs.EvaluatePlan(d, optPlan, method, split, root.Child("plan(JoinOpt)"))
+	rep.JoinAll, err = fs.EvaluatePlan(g, joinAll, method, root.Child("plan(JoinAll)"))
+	if err != nil {
+		return nil, err
+	}
+	rep.JoinOpt, err = fs.EvaluatePlan(g, optPlan, method, root.Child("plan(JoinOpt)"))
 	if err != nil {
 		return nil, err
 	}
@@ -127,11 +136,22 @@ func speedup(all, opt PlanOutcome) (float64, string) {
 // EvaluatePlan runs one feature selection pass over the given plan and
 // reports the selected subset's holdout test error. It shares its split
 // logic and its plan evaluator with Analyze but lets callers compare
-// arbitrary plans (e.g. the robustness study of Figure 8(A)).
+// arbitrary plans (e.g. the robustness study of Figure 8(A)); it gathers
+// only p's columns.
 func EvaluatePlan(d *Dataset, p Plan, method FeatureSelector, seed uint64) (PlanOutcome, error) {
+	if d == nil {
+		return PlanOutcome{}, fmt.Errorf("hamlet: nil dataset")
+	}
+	if method == nil {
+		return PlanOutcome{}, fmt.Errorf("hamlet: nil feature selection method")
+	}
 	split, err := dataset.DefaultSplit(d.NumRows(), stats.NewRNG(seed))
 	if err != nil {
 		return PlanOutcome{}, err
 	}
-	return fs.EvaluatePlan(d, p, method, split, nil)
+	g, err := d.GatherSplit(p, split)
+	if err != nil {
+		return PlanOutcome{}, err
+	}
+	return fs.EvaluatePlan(g, p, method, nil)
 }

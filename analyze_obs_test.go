@@ -19,13 +19,13 @@ func TestAnalyzeTrace(t *testing.T) {
 	for _, c := range kids {
 		names[c.Name()] = true
 	}
-	for _, want := range []string{"advise", "plan(JoinAll)", "plan(JoinOpt)"} {
+	for _, want := range []string{"advise", "gather", "plan(JoinAll)", "plan(JoinOpt)"} {
 		if !names[want] {
 			t.Errorf("trace missing %q child (have %v)", want, names)
 		}
 	}
 	for _, c := range kids {
-		if c.Name() == "advise" {
+		if c.Name() == "advise" || c.Name() == "gather" {
 			continue
 		}
 		stages := make(map[string]bool)

@@ -266,9 +266,10 @@ func BenchmarkForwardSelection(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the analyze workload's operation, one
-// hamlet.Analyze call (advisor, then JoinAll and JoinOpt each materialized,
-// split, selected on and tested), per sub-benchmark's method on a binary
-// mimic (Expedia) and a 5-class one (MovieLens1M) at the workload's scale.
+// hamlet.Analyze call (advisor, one JoinAll gather over the split, then
+// JoinAll and JoinOpt each viewed in it, selected on and tested), per
+// sub-benchmark's method on a binary mimic (Expedia) and a 5-class one
+// (MovieLens1M) at the workload's scale.
 func BenchmarkAnalyze(b *testing.B) {
 	var inputs []*Dataset
 	for _, name := range []string{"Expedia", "MovieLens1M"} {
@@ -296,6 +297,39 @@ func BenchmarkAnalyze(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGatherSplit measures the gather alone at the analyze workload's
+// shape: one op gathers JoinAll over the 50/25/25 split of each of 28
+// datasets, every mimic at scale 0.02 under 4 generation seeds.
+func BenchmarkGatherSplit(b *testing.B) {
+	type input struct {
+		d     *Dataset
+		split *Split
+	}
+	var inputs []input
+	for _, spec := range synth.Mimics() {
+		for seed := uint64(1); seed <= 4; seed++ {
+			d, err := spec.Generate(0.02, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			split, err := DefaultSplit(d.NumRows(), seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inputs = append(inputs, input{d, split})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			if _, err := in.d.GatherSplit(in.d.JoinAllPlan(), in.split); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

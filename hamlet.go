@@ -81,6 +81,9 @@ type (
 	Feature = dataset.Feature
 	// Split is the paper's 50/25/25 train/validation/test partition.
 	Split = dataset.Split
+	// SplitGather is one gather of a plan's columns over a split
+	// (Dataset.GatherSplit); Designs views any plan whose columns it holds.
+	SplitGather = dataset.SplitGather
 )
 
 // Decision rules (the paper's contribution).

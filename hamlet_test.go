@@ -98,6 +98,26 @@ func TestAnalyzeValidation(t *testing.T) {
 	}
 }
 
+// TestEvaluatePlanValidation: EvaluatePlan refuses a nil dataset and a nil
+// method with Analyze's errors, not a nil-pointer panic.
+func TestEvaluatePlanValidation(t *testing.T) {
+	d := exampleDataset(t)
+	for _, tc := range []struct {
+		name   string
+		d      *Dataset
+		method FeatureSelector
+	}{
+		{"nil dataset", nil, MIFilter()},
+		{"nil method", d, nil},
+	} {
+		_, want := Analyze(tc.d, tc.method, nil, 7)
+		_, err := EvaluatePlan(tc.d, d.NoJoinsPlan(), tc.method, 7)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s: EvaluatePlan error %v, Analyze error %v", tc.name, err, want)
+		}
+	}
+}
+
 func TestEvaluatePlanPublic(t *testing.T) {
 	d := exampleDataset(t)
 	out, err := EvaluatePlan(d, d.NoJoinsPlan(), MIFilter(), 7)

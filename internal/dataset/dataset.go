@@ -4,7 +4,11 @@
 // of the paper's §2.1. It materializes the design matrices that the ML and
 // feature-selection layers consume under the paper's four join plans
 // (JoinAll, JoinOpt, NoJoins, JoinAllNoFK) and performs the 50/25/25 holdout
-// split used throughout the evaluation.
+// split used throughout the evaluation. The evaluation gathers JoinAll's
+// columns once per split (GatherSplit), in train‖validation‖test row order
+// and reading each joined FK once, and views every plan's three designs in
+// that gather (SplitGather.Designs): avoiding a join or dropping an FK only
+// leaves columns out, so every plan is a column subset of JoinAll.
 package dataset
 
 import (

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 // entity drives the entity rows (one byte per row: label, home value and
 // RIDs); attr drives the attribute tables' sizes, cardinalities and values.
 // The plan selector's bits pick the number of attribute tables (bits 0-1,
-// mod 3), their closed domains (bits 2-3), joins (bits 4-5) and dropped FKs
-// (bits 6-7). Column names never collide, so any error is a referential one.
+// mod 3), their closed domains (bits 2-3), and the plan (bits 4-7, see
+// fuzzPlan). Column names never collide, so any error is a referential one.
 func fuzzDataset(entity, attr []byte, plan uint8) (*Dataset, Plan) {
 	next := 0
 	attrByte := func() int {
@@ -36,7 +37,6 @@ func fuzzDataset(entity, attr []byte, plan uint8) (*Dataset, Plan) {
 	s.MustAddColumn(&relational.Column{Name: "Y", Card: 3, Data: y})
 	s.MustAddColumn(&relational.Column{Name: "H", Card: 4, Data: home})
 	d := &Dataset{Name: "Fuzz", Entity: s, Target: "Y", HomeFeatures: []string{"H"}}
-	var p Plan
 	for a := 0; a < nAttrs; a++ {
 		nR := 1 + attrByte()%24
 		r := relational.NewTable("R" + string(rune('0'+a)))
@@ -54,16 +54,25 @@ func fuzzDataset(entity, attr []byte, plan uint8) (*Dataset, Plan) {
 		}
 		fkName := "FK" + string(rune('0'+a))
 		s.MustAddColumn(&relational.Column{Name: fkName, Card: nR, Data: fk})
-		closed := plan&(4<<a) != 0
-		d.Attrs = append(d.Attrs, AttributeTable{Table: r, FK: fkName, ClosedDomain: closed})
-		if !closed || plan&(16<<a) != 0 {
-			p.JoinFKs = append(p.JoinFKs, fkName)
+		d.Attrs = append(d.Attrs, AttributeTable{Table: r, FK: fkName, ClosedDomain: plan&(4<<a) != 0})
+	}
+	return d, fuzzPlan(d, plan)
+}
+
+// fuzzPlan decodes a plan over d's attribute tables from bits 4-7 of
+// selector: attribute table a is joined when bit 4+a is set (always, when
+// its domain is open), and its closed-domain FK dropped when bit 6+a is.
+func fuzzPlan(d *Dataset, selector uint8) Plan {
+	var p Plan
+	for a, at := range d.Attrs {
+		if !at.ClosedDomain || selector&(16<<a) != 0 {
+			p.JoinFKs = append(p.JoinFKs, at.FK)
 		}
-		if closed && plan&(64<<a) != 0 {
-			p.DropFKs = append(p.DropFKs, fkName)
+		if at.ClosedDomain && selector&(64<<a) != 0 {
+			p.DropFKs = append(p.DropFKs, at.FK)
 		}
 	}
-	return d, p
+	return p
 }
 
 // FuzzMaterialize checks the production design-matrix paths against the
@@ -73,6 +82,10 @@ func fuzzDataset(entity, attr []byte, plan uint8) (*Dataset, Plan) {
 // it also draws a 50/25/25 split from the input: MaterializeSplit must fail
 // exactly when Materialize does, and must otherwise return the oracle's
 // design through SelectRows of each part, every column capped at its part.
+// It then draws a second plan q from the input and views it in the gather
+// of the first: Designs(q) must fail when the oracle fails on q or q has a
+// column the first plan lacks, and must otherwise return q's oracle design
+// the same way.
 // corrupt, when nonzero, damages the last attribute table's FK: odd values
 // overwrite one RID with corrupt>>1 (which may dangle or be negative), even
 // values shift the FK's declared cardinality by corrupt>>1. Run `go test
@@ -127,17 +140,48 @@ func FuzzMaterialize(f *testing.F) {
 		if serr != nil {
 			return
 		}
-		for k, part := range [][]int{split.Train, split.Validation, split.Test} {
-			gotPart := []*Design{train, val, test}[k]
-			designsEqual(t, want.SelectRows(part), gotPart)
-			if cap(gotPart.Y) != len(gotPart.Y) {
-				t.Fatalf("part %d: labels have capacity %d past their %d rows", k, cap(gotPart.Y), len(gotPart.Y))
-			}
-			for _, ft := range gotPart.Features {
-				if cap(ft.Data) != len(ft.Data) {
-					t.Fatalf("part %d feature %q: capacity %d past its %d rows", k, ft.Name, cap(ft.Data), len(ft.Data))
+		checkParts(t, want, split, train, val, test)
+
+		g, err := d.GatherSplit(p, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := fuzzPlan(d, uint8(h.Sum64()>>56))
+		wantQ, wantErr := materializeViaJoin(d, q)
+		train, val, test, err = g.Designs(q)
+		if wantErr == nil {
+			// Column names never collide, so q's view exists exactly when
+			// every name of q's design is one of p's.
+			for _, name := range wantQ.FeatureNames() {
+				if want.FeatureIndex(name) < 0 {
+					wantErr = fmt.Errorf("column %q not gathered", name)
 				}
 			}
 		}
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("Designs(%+v) of a %+v gather: error %v, want error %v", q, p, err, wantErr)
+		}
+		if err == nil {
+			checkParts(t, wantQ, split, train, val, test)
+		}
 	})
+}
+
+// checkParts requires train, val and test to equal split.Apply(want) cell
+// for cell and in feature metadata, every column capped at its part (so an
+// append to one part cannot overwrite the next).
+func checkParts(t *testing.T, want *Design, split *Split, train, val, test *Design) {
+	t.Helper()
+	for k, part := range [][]int{split.Train, split.Validation, split.Test} {
+		gotPart := []*Design{train, val, test}[k]
+		designsEqual(t, want.SelectRows(part), gotPart)
+		if cap(gotPart.Y) != len(gotPart.Y) {
+			t.Fatalf("part %d: labels have capacity %d past their %d rows", k, cap(gotPart.Y), len(gotPart.Y))
+		}
+		for _, ft := range gotPart.Features {
+			if cap(ft.Data) != len(ft.Data) {
+				t.Fatalf("part %d feature %q: capacity %d past its %d rows", k, ft.Name, cap(ft.Data), len(ft.Data))
+			}
+		}
+	}
 }

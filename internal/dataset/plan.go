@@ -105,57 +105,123 @@ func (d *Dataset) Materialize(p Plan) (*Design, error) {
 	return out, nil
 }
 
-// MaterializeSplit builds the plan's design matrix for the three parts of
-// the split at once, equal to Materialize followed by s.Apply. It gathers
-// every column, the labels included, once, in train‖validation‖test row
-// order, straight from the entity and attribute tables: a foreign feature
-// reads its attribute column through the entity table's FK, row by row,
-// with no full-length intermediate column. The three designs are views of
-// that gather, each column capped at its part's length, so an append to
-// one part cannot overwrite the next. The split's indices must be rows of
+// SplitGather is one gather of a plan's columns and labels over the rows of
+// a split, in train‖validation‖test order. Designs views it as the three
+// designs of that plan, or of any plan whose columns are a subset of it: a
+// plan that avoids joins or drops FKs only leaves columns out, so every plan
+// of a dataset is a column subset of JoinAll. Views share the gathered
+// columns, so no caller may write to a view's Data or Y.
+type SplitGather struct {
+	d          *Dataset
+	numClasses int
+	// y and cols[i].Data hold the labels and the plan's columns in split
+	// order; parts holds the train, validation and test row counts.
+	y     []int32
+	cols  []planColumn
+	parts [3]int
+}
+
+// GatherSplit gathers plan p's columns and the labels once, in
+// train‖validation‖test row order, with one allocation per column, straight
+// from the entity and attribute tables. Each joined table's FK is read
+// through the split once: a foreign column reads its FK's codes from the
+// FK feature's gathered column when p keeps that FK, and otherwise from one
+// scratch gather of the FK per table. The split's indices must be rows of
 // the entity table, as NewSplit's are. It counts as one materialization of
-// the split's rows.
-func (d *Dataset) MaterializeSplit(p Plan, s *Split) (train, val, test *Design, err error) {
+// the split's rows at p's width.
+func (d *Dataset) GatherSplit(p Plan, s *Split) (*SplitGather, error) {
 	y, cols, err := d.planColumns(p)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	parts := [3][]int{s.Train, s.Validation, s.Test}
 	n := len(s.Train) + len(s.Validation) + len(s.Test)
-	// One allocation per column, not one for the whole design: a single
-	// multi-megabyte block raised the analyze workload's peak RSS.
-	gathered := make([][]int32, len(cols)+1)
-	for i := range gathered {
-		gathered[i] = make([]int32, n)
-	}
-	gatherRows(gathered[0], y.Data, parts)
-	for i, c := range cols {
-		dst := gathered[i+1]
+	g := &SplitGather{d: d, numClasses: y.Card, y: make([]int32, n), cols: cols,
+		parts: [3]int{len(s.Train), len(s.Validation), len(s.Test)}}
+	gatherRows(g.y, y.Data, parts)
+	// fk is the FK whose split-order codes are in codes.
+	var fk *relational.Column
+	var codes, scratch []int32
+	for i := range cols {
+		c := &cols[i]
+		// One allocation per column, not one for the whole design: a single
+		// multi-megabyte block raised the analyze workload's peak RSS.
+		c.Data = make([]int32, n)
 		if c.attr == nil {
-			gatherRows(dst, c.entity.Data, parts)
+			gatherRows(c.Data, c.entity.Data, parts)
 			continue
 		}
-		j := 0
-		for _, rows := range parts {
-			for _, r := range rows {
-				dst[j] = c.attr.Data[c.entity.Data[r]]
-				j++
+		if c.entity != fk {
+			fk, codes = c.entity, nil
+			for k := range cols[:i] {
+				if cols[k].attr == nil && cols[k].entity == fk {
+					codes = cols[k].Data
+					break
+				}
 			}
+			if codes == nil {
+				if scratch == nil {
+					scratch = make([]int32, n)
+				}
+				gatherRows(scratch, fk.Data, parts)
+				codes = scratch
+			}
+		}
+		dst, attr := c.Data[:len(codes)], c.attr.Data
+		for j, r := range codes {
+			dst[j] = attr[r]
+		}
+	}
+	countMaterialized(n, len(cols))
+	return g, nil
+}
+
+// Designs returns plan q's training, validation and test designs as views
+// of the gather, equal to Materialize(q) followed by Split.Apply. Each view
+// column is capped at its part's length, so an append to one part cannot
+// overwrite the next. q is validated as Materialize validates it, and must
+// be a column subset of the gathered plan; any other plan is an error.
+// Views are not counted as materializations: the gather was.
+func (g *SplitGather) Designs(q Plan) (train, val, test *Design, err error) {
+	_, cols, err := g.d.planColumns(q)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i := range cols {
+		c := &cols[i]
+		for k := range g.cols {
+			if g.cols[k].entity == c.entity && g.cols[k].attr == c.attr {
+				c.Data = g.cols[k].Data
+				break
+			}
+		}
+		if c.Data == nil {
+			return nil, nil, nil, fmt.Errorf("dataset %q: plan column %q (%s) is not in the gathered plan", g.d.Name, c.Name, c.Source)
 		}
 	}
 	var out [3]*Design
 	lo := 0
-	for k, rows := range parts {
-		hi := lo + len(rows)
-		m := &Design{NumClasses: y.Card, Y: gathered[0][lo:hi:hi], Features: make([]Feature, len(cols))}
+	for k, rows := range g.parts {
+		hi := lo + rows
+		m := &Design{NumClasses: g.numClasses, Y: g.y[lo:hi:hi], Features: make([]Feature, len(cols))}
 		for i, c := range cols {
 			m.Features[i] = c.Feature
-			m.Features[i].Data = gathered[i+1][lo:hi:hi]
+			m.Features[i].Data = c.Data[lo:hi:hi]
 		}
 		out[k], lo = m, hi
 	}
-	countMaterialized(n, len(cols))
 	return out[0], out[1], out[2], nil
+}
+
+// MaterializeSplit builds the plan's design matrix for the three parts of
+// the split at once, equal to Materialize followed by s.Apply: it is
+// GatherSplit(p, s).Designs(p).
+func (d *Dataset) MaterializeSplit(p Plan, s *Split) (train, val, test *Design, err error) {
+	g, err := d.GatherSplit(p, s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return g.Designs(p)
 }
 
 // gatherRows copies data's values at the parts' row indices into dst, the
@@ -170,8 +236,8 @@ func gatherRows(dst, data []int32, parts [3][]int) {
 	}
 }
 
-// planColumn is one design-matrix column of a plan before it is gathered:
-// the feature's metadata (Data unset) and where its values come from.
+// planColumn is one design-matrix column of a plan: the feature's metadata
+// (Data unset until a gather fills it) and where its values come from.
 // entity is the entity column read per row: the feature's own column, or
 // for a foreign feature (attr non-nil) the FK whose codes index attr, the
 // attribute-table column.

@@ -23,15 +23,16 @@ func Methods() []fs.Method {
 	return []fs.Method{fs.Forward{}, fs.Backward{}, fs.MIFilter(), fs.IGRFilter()}
 }
 
-// prepared bundles a generated mimic with its holdout split, shared across
-// all plans and methods of one dataset so comparisons are paired, plus the
-// budget's observability hooks for per-run progress and spans.
+// prepared bundles a generated mimic with one gather of its JoinAll columns
+// over its holdout split, shared across all plans and methods of one
+// dataset so comparisons are paired (every plan is a view of the gather),
+// plus the budget's observability hooks for per-run progress and spans.
 type prepared struct {
-	spec  synth.MimicSpec
-	data  *dataset.Dataset
-	split *dataset.Split
-	prog  *obs.Progress
-	trace *obs.Span
+	spec   synth.MimicSpec
+	data   *dataset.Dataset
+	gather *dataset.SplitGather
+	prog   *obs.Progress
+	trace  *obs.Span
 }
 
 func prepare(spec synth.MimicSpec, b Budget, seed uint64) (*prepared, error) {
@@ -46,7 +47,13 @@ func prepare(spec synth.MimicSpec, b Budget, seed uint64) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &prepared{spec: spec, data: ds, split: split, prog: b.Progress, trace: b.Trace}, nil
+	sp = b.Trace.Child("gather(" + spec.Name + ")")
+	g, err := ds.GatherSplit(ds.JoinAllPlan(), split)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{spec: spec, data: ds, gather: g, prog: b.Progress, trace: b.Trace}, nil
 }
 
 // runFS evaluates one (plan, method) pair end to end through the shared
@@ -55,7 +62,7 @@ func prepare(spec synth.MimicSpec, b Budget, seed uint64) (*prepared, error) {
 func (p *prepared) runFS(plan dataset.Plan, method fs.Method) (fs.PlanOutcome, error) {
 	defer p.prog.Step(1)
 	sp := p.trace.Child(fmt.Sprintf("%s: select(%s, tables=%d)", p.spec.Name, method.Name(), tablesInPlan(plan)))
-	return fs.EvaluatePlan(p.data, plan, method, p.split, sp)
+	return fs.EvaluatePlan(p.gather, plan, method, sp)
 }
 
 // joinOpt computes the paper's JoinOpt plan for the dataset via the TR rule.
@@ -334,7 +341,7 @@ func RunFig9(b Budget) (*Result, error) {
 		row := []string{spec.Name, ml.MetricName(spec.Classes)}
 		for _, pen := range []logreg.Penalty{logreg.L1, logreg.L2} {
 			for _, plan := range []dataset.Plan{p.data.JoinAllPlan(), optPlan} {
-				train, val, test, err := p.data.MaterializeSplit(plan, p.split)
+				train, val, test, err := p.gather.Designs(plan)
 				if err != nil {
 					return nil, err
 				}
@@ -407,7 +414,7 @@ func RunTAN(b Budget) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, _, test, err := p.data.MaterializeSplit(p.data.JoinAllPlan(), p.split)
+		train, _, test, err := p.gather.Designs(p.data.JoinAllPlan())
 		if err != nil {
 			return nil, err
 		}

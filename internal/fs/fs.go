@@ -7,10 +7,13 @@
 // All methods follow the paper's holdout protocol: models are trained on the
 // training split and subsets compared by their error on the validation
 // split; the caller reports final accuracy on the untouched test split.
-// EvaluatePlan runs that whole protocol for one join plan, on one gather of
-// the plan's columns in train‖validation‖test row order
-// (dataset.MaterializeSplit): the three splits are views of it, so a plan's
-// rows are copied once, not materialized and then copied again per split.
+// EvaluatePlan runs that whole protocol for one join plan on views of a
+// dataset.SplitGather, one gather of JoinAll's columns in
+// train‖validation‖test row order: every plan of a split views the same
+// gather, so the split's rows are copied once for all its plans, and no
+// evaluation step may write to a design column. Nothing else is shared
+// between plans: each Select builds its own statistics and scorer, so a
+// plan's measured selection time is its own search.
 //
 // Wrapper search over Naive Bayes uses the decomposability fast path
 // (internal/ml/nb.SubsetScorer): sufficient statistics and per-feature

@@ -32,16 +32,18 @@ type PlanOutcome struct {
 }
 
 // EvaluatePlan is the paper's end-to-end protocol for one join plan (§5,
-// Figure 7): it materializes the plan's training, validation and test rows
-// in one gather (dataset.MaterializeSplit), runs the method with Naive Bayes
+// Figure 7): it views plan p's training, validation and test rows in the
+// gather g (dataset.SplitGather.Designs), runs the method with Naive Bayes
 // over the training and validation rows, and scores the selected subset on
-// the test rows. Each stage is recorded as a child of sp, which it ends; sp
-// may be nil for untraced runs. hamlet.Analyze, hamlet.EvaluatePlan and the
-// figure runners all evaluate plans here.
-func EvaluatePlan(d *dataset.Dataset, p dataset.Plan, method Method, split *dataset.Split, sp *obs.Span) (PlanOutcome, error) {
+// the test rows. p must be a column subset of g's plan; every plan is a
+// subset of JoinAll, so one JoinAll gather serves every plan of a split.
+// Each stage is recorded as a child of sp, which it ends; sp may be nil for
+// untraced runs. hamlet.Analyze, hamlet.EvaluatePlan and the figure runners
+// all evaluate plans here.
+func EvaluatePlan(g *dataset.SplitGather, p dataset.Plan, method Method, sp *obs.Span) (PlanOutcome, error) {
 	defer sp.End()
 	mat := sp.Child("materialize")
-	train, val, test, err := d.MaterializeSplit(p, split)
+	train, val, test, err := g.Designs(p)
 	mat.End()
 	if err != nil {
 		return PlanOutcome{}, err

@@ -87,8 +87,8 @@ func (l *Learner) Fit(m *dataset.Design, features []int) (ml.Model, error) {
 	if err := ml.CheckFeatures(m, features); err != nil {
 		return nil, err
 	}
-	if l.Alpha <= 0 {
-		return nil, fmt.Errorf("tan: smoothing alpha must be positive, got %v", l.Alpha)
+	if !(l.Alpha > 0) || math.IsInf(l.Alpha, 1) {
+		return nil, fmt.Errorf("tan: smoothing alpha must be positive and finite, got %v", l.Alpha)
 	}
 	n := m.NumRows()
 	if n == 0 {

@@ -1,6 +1,8 @@
 package tan
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"hamlet/internal/dataset"
@@ -182,10 +184,14 @@ func TestTANValidation(t *testing.T) {
 	if _, err := New().Fit(m, []int{9}); err == nil {
 		t.Fatal("out-of-range feature accepted")
 	}
-	l := New()
-	l.Alpha = 0
-	if _, err := l.Fit(m, []int{0}); err == nil {
-		t.Fatal("zero alpha accepted")
+	// A NaN or +Inf alpha makes every CPT entry NaN, so every row would be
+	// predicted class 0; both are refused like a nonpositive one.
+	for _, alpha := range []float64{0, -1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		l := New()
+		l.Alpha = alpha
+		if _, err := l.Fit(m, []int{0}); err == nil || !strings.Contains(err.Error(), "positive and finite") {
+			t.Errorf("alpha %v: Fit error %v, want a positive-and-finite refusal", alpha, err)
+		}
 	}
 	empty := &dataset.Design{NumClasses: 2}
 	if _, err := New().Fit(empty, nil); err == nil {
