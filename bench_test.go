@@ -63,11 +63,13 @@ func BenchmarkFig13(b *testing.B) { benchFigure(b, "fig13") }
 func BenchmarkTAN(b *testing.B)   { benchFigure(b, "tan") }
 
 // Monte Carlo engine scaling: one fig7-class simulation sweep (a deep
-// bias–variance point, ~seconds of model fits) at fixed worker counts. The
-// decompositions are bitwise-identical across the sub-benchmarks — only
-// wall time moves — so the ratio between workers=1 and workers=N is the
-// engine's parallel speedup on this machine (near-linear up to GOMAXPROCS;
-// on a single-core runner all counts collapse to the serial time).
+// bias–variance point: 8 worlds × 24 training samples of 1,000 rows, each
+// scored under three model classes; an op takes tens of milliseconds on one
+// worker) at fixed worker counts. The decompositions are bitwise-identical
+// across the sub-benchmarks — only wall time moves — so the ratio between
+// workers=1 and workers=N is the engine's parallel speedup on this machine
+// (near-linear up to GOMAXPROCS; on a single-core runner all counts
+// collapse to the serial time).
 func BenchmarkMonteCarloWorkers(b *testing.B) {
 	sim := synth.SimConfig{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1}
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -93,15 +95,29 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 
 // BenchmarkWorldSample measures one Monte Carlo trial's training draw on its
 // own layer: 1,000 labeled rows redrawn into a reused design, at the
-// montecarlo workload's OneXr point (n_R = 40, FK from the marginal's
-// cumulative table) and a Figure 11 AllXsXr point (FK from the per-majority
-// tables). A trial allocates nothing here.
+// montecarlo workload's OneXr point (n_R = 40, FK from the marginal's guide
+// table), a Figure 11 AllXsXr point (FK from the per-majority tables) and
+// an XsFkOnly point (FK's latent label), all under uniform FKs, plus the
+// OneXr point under Appendix D's Zipf (s = 2) and needle-and-thread
+// (p = 0.5) skews, whose guide buckets hold uneven numbers of cumulative
+// weights. A trial allocates nothing here.
 func BenchmarkWorldSample(b *testing.B) {
+	oneXr := synth.SimConfig{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1}
+	zipf, needle := oneXr, oneXr
+	zipf.Skew, zipf.ZipfS = synth.ZipfSkew, 2
+	needle.Skew, needle.NeedleP = synth.NeedleThreadSkew, 0.5
 	for _, sim := range []synth.SimConfig{
-		{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1},
+		oneXr,
 		{Scenario: synth.AllXsXr, DS: 4, DR: 4, NR: 40, P: 0.1},
+		{Scenario: synth.XsFkOnly, DS: 4, DR: 4, NR: 40, P: 0.1},
+		zipf,
+		needle,
 	} {
-		b.Run(sim.Scenario.String(), func(b *testing.B) {
+		name := sim.Scenario.String()
+		if sim.Skew != synth.NoSkew {
+			name += "/" + sim.Skew.String()
+		}
+		b.Run(name, func(b *testing.B) {
 			w, err := synth.NewWorld(sim, 1)
 			if err != nil {
 				b.Fatal(err)

@@ -2,28 +2,59 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
 // RNG is the deterministic random source used throughout Hamlet-Go. It wraps
 // math/rand/v2's PCG generator so that every experiment is exactly
 // reproducible from an explicit pair of 64-bit seeds.
+//
+// The embedded *rand.Rand serves every method RNG does not define. RNG also
+// holds the same PCG and defines Uint64 and Float64 on it directly, so the
+// hot draws of a sampling loop skip the rand.Source interface call; both
+// advance the one shared state exactly as rand.Rand's methods do, so
+// interleaving them with the embedded methods yields rand.Rand's stream.
 type RNG struct {
 	*rand.Rand
+	src *rand.PCG
 }
 
 // NewRNG returns a deterministic generator for the given seed. The second PCG
 // word is a fixed golden-ratio constant so that adjacent seeds produce
 // decorrelated streams.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))}
+	return newRNG(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+}
+
+func newRNG(src *rand.PCG) *RNG {
+	return &RNG{Rand: rand.New(src), src: src}
 }
 
 // Split derives an independent child stream from this generator. Each call
 // consumes two words from the parent, so the sequence of children is itself
 // deterministic.
 func (r *RNG) Split() *RNG {
-	return &RNG{rand.New(rand.NewPCG(r.Uint64(), r.Uint64()))}
+	return newRNG(rand.NewPCG(r.Uint64(), r.Uint64()))
+}
+
+// Uint64 returns the next 64-bit word of the stream, as rand.Rand's Uint64
+// does. A kernel that needs IntN(2) takes Uint64()&1: IntN masks the low
+// bits for every power of two.
+func (r *RNG) Uint64() uint64 {
+	return r.src.Uint64()
+}
+
+// Float64 returns a number in [0, 1) from one word: rand.Rand's Float64,
+// drawn without the interface call.
+func (r *RNG) Float64() float64 {
+	return wordFloat64(r.Uint64())
+}
+
+// wordFloat64 maps a word to rand.Rand's Float64 of it: its low 53 bits
+// over 2^53.
+func wordFloat64(x uint64) float64 {
+	return float64(x<<11>>11) / (1 << 53)
 }
 
 // Bernoulli returns true with probability p.
@@ -42,24 +73,32 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // Categorical samples indices of a fixed, not necessarily normalized,
-// nonnegative weight vector. It keeps the cumulative weights, so a draw is
-// one Float64 and a binary search: O(log n) instead of a pass over the
-// weights. Index i carries mass weights[i] when positive and is never drawn
-// otherwise.
+// nonnegative weight vector. Index i carries mass weights[i] when positive
+// and is never drawn otherwise.
 //
 // A draw scales u = Float64() by the total mass and returns the first index
-// whose cumulative weight exceeds u. That is exactly the index a linear scan
-// accumulating the positive weights in order returns for the same u, since
-// the cumulative table holds the scan's partial sums and the total is its
-// last one.
+// whose cumulative weight exceeds u (the last index if none does). That is
+// exactly the index a linear scan accumulating the positive weights in order
+// returns for the same u, since the cumulative table holds the scan's
+// partial sums and the total is its last one.
+//
+// The first index is found by Chen and Asau's indexed search: a guide table
+// of 2^b ≥ n buckets, keyed by the top b of the 53 bits Float64 uses, holds
+// the index drawn at each bucket's smallest word. u is monotone in the word,
+// so the answer for any word of a bucket is at or after the bucket's entry,
+// and a draw walks forward from it. There are n cumulative weights and
+// 2^b ≥ n equally likely buckets, so a draw steps past at most one weight
+// on average, whatever the weights.
 type Categorical struct {
-	cum []float64
+	cum   []float64
+	guide []int32
+	shift uint
 }
 
 // NewCategorical builds a sampler over [0, len(weights)). It panics if the
-// weights are empty or their positive mass is not a positive finite number:
-// callers construct these vectors and an invalid one is a programming error,
-// not a data error.
+// weights are empty or longer than an int32 indexes, or their positive mass
+// is not a positive finite number: callers construct these vectors and an
+// invalid one is a programming error, not a data error.
 func NewCategorical(weights []float64) *Categorical {
 	cum := make([]float64, len(weights))
 	acc := 0.0
@@ -69,29 +108,41 @@ func NewCategorical(weights []float64) *Categorical {
 		}
 		cum[i] = acc
 	}
-	if len(weights) == 0 || !(acc > 0) || math.IsInf(acc, 1) {
+	if len(weights) == 0 || len(weights) > math.MaxInt32 || !(acc > 0) || math.IsInf(acc, 1) {
 		panic("stats: Categorical requires a nonempty weight vector with positive finite mass")
 	}
-	return &Categorical{cum: cum}
+	b := bits.Len(uint(len(weights) - 1)) // smallest b with 2^b ≥ n
+	c := &Categorical{cum: cum, guide: make([]int32, 1<<b), shift: uint(53 - b)}
+	// One forward walk over the buckets' smallest words fills the guide.
+	i := 0
+	for j := range c.guide {
+		i = c.walk(i, uint64(j)<<c.shift)
+		c.guide[j] = int32(i)
+	}
+	return c
 }
 
-// Sample draws one index, consuming one Float64 from r.
+// Sample draws one index, consuming one word from r.
 func (c *Categorical) Sample(r *RNG) int {
-	u := r.Float64() * c.cum[len(c.cum)-1]
-	// Binary search for the first cumulative weight above u, without
-	// branches: a draw's comparisons are coin flips that a branch predictor
-	// gets wrong half the time. u and every cum[i] are nonnegative, so
-	// their IEEE bit patterns order as int64s and the difference cannot
-	// overflow: its sign bit is set exactly when u < cum[i].
-	ub := int64(math.Float64bits(u))
-	base, n := 0, len(c.cum)
-	for n > 1 {
-		half := n >> 1
-		le := ^((ub - int64(math.Float64bits(c.cum[base+half-1]))) >> 63) // all ones when cum <= u
-		base += half & int(le)
-		n -= half
+	return c.sampleWord(r.Uint64())
+}
+
+// sampleWord returns the index drawn from the word x: the one Sample
+// returns when r's next word is x.
+func (c *Categorical) sampleWord(x uint64) int {
+	return c.walk(int(c.guide[x<<11>>11>>c.shift]), x)
+}
+
+// walk steps forward from index i, which must not lie after x's index,
+// to the first index whose cumulative weight exceeds x's scaled draw,
+// stopping at the last index.
+func (c *Categorical) walk(i int, x uint64) int {
+	cum := c.cum
+	u := wordFloat64(x) * cum[len(cum)-1]
+	for i < len(cum)-1 && cum[i] <= u {
+		i++
 	}
-	return base
+	return i
 }
 
 // Probs returns the normalized probability vector of the sampler.

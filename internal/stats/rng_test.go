@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -88,18 +89,28 @@ func TestCategoricalPanicsOnInvalid(t *testing.T) {
 	}
 }
 
-// linearScan is the reference draw the cumulative table replaces: scale one
-// Float64 by the positive mass, then walk the weights accumulating it and
-// return the first positive-weight index whose running sum exceeds the
+// linearScan is the reference draw the cumulative table replaces: scale the
+// word's Float64 by the positive mass, then walk the weights accumulating it
+// and return the first positive-weight index whose running sum exceeds the
 // draw.
-func linearScan(r *RNG, weights []float64) int {
+func linearScan(weights []float64, x uint64) int {
+	return scanFrom(weights, positiveMass(weights), x)
+}
+
+// positiveMass is the sum of the positive weights, in order.
+func positiveMass(weights []float64) float64 {
 	total := 0.0
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
 	}
-	u := r.Float64() * total
+	return total
+}
+
+// scanFrom is linearScan given the weights' positive mass.
+func scanFrom(weights []float64, total float64, x uint64) int {
+	u := rand.New(replay(x)).Float64() * total
 	acc := 0.0
 	for i, w := range weights {
 		if w <= 0 {
@@ -118,9 +129,9 @@ type replay uint64
 
 func (r replay) Uint64() uint64 { return uint64(r) }
 
-// TestCategoricalMatchesLinearScan pins the cumulative-table draw to the
-// linear scan draw for draw: the same index from the same stream, and the
-// stream left in the same state (the next Uint64 agrees after every draw).
+// TestCategoricalMatchesLinearScan pins the guide-table draw to the linear
+// scan draw for draw: the same index from the same stream, and the stream
+// left in the same state (the next Uint64 agrees after every draw).
 func TestCategoricalMatchesLinearScan(t *testing.T) {
 	uniform := make([]float64, 40)
 	for i := range uniform {
@@ -154,13 +165,12 @@ func TestCategoricalMatchesLinearScan(t *testing.T) {
 		w[gen.IntN(len(w))] = 1 + gen.Float64()
 		cases[fmt.Sprintf("random-%d", v)] = w
 	}
-	// Random draws almost never land on a cumulative boundary, so replay
+	// Random draws almost never land on a cumulative boundary, so draw
 	// every u = k exactly over integer weights with total 8 as well.
 	ties := []float64{1, 0, 1, 2, 0, 4, 0}
 	for k := uint64(0); k < 8; k++ {
 		// Float64 is the low 53 bits of a word over 2^53: k<<50 gives k/8.
-		got, want := &RNG{rand.New(replay(k << 50))}, &RNG{rand.New(replay(k << 50))}
-		if i, j := NewCategorical(ties).Sample(got), linearScan(want, ties); i != j {
+		if i, j := NewCategorical(ties).sampleWord(k<<50), linearScan(ties, k<<50); i != j {
 			t.Fatalf("tie u=%d: Sample = %d, linear scan = %d", k, i, j)
 		}
 	}
@@ -169,13 +179,139 @@ func TestCategoricalMatchesLinearScan(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			got, want := NewRNG(seed), NewRNG(seed)
 			for d := 0; d < 3000; d++ {
-				if i, j := c.Sample(got), linearScan(want, w); i != j {
+				if i, j := c.Sample(got), linearScan(w, want.Uint64()); i != j {
 					t.Fatalf("%s seed %d draw %d: Sample = %d, linear scan = %d", name, seed, d, i, j)
 				}
 				if a, b := got.Uint64(), want.Uint64(); a != b {
 					t.Fatalf("%s seed %d draw %d: streams diverged after the draw", name, seed, d)
 				}
 			}
+		}
+	}
+}
+
+// FuzzCategorical decodes a weight vector from the input, three bytes per
+// entry, and checks the guide-table draw against the linear scan at the
+// given word and at the first and last word of every bucket, with the given
+// word's top bits above the 53 a draw reads. A vector whose positive mass is
+// zero or overflows must make NewCategorical panic instead.
+func FuzzCategorical(f *testing.F) {
+	f.Add([]byte{3, 0, 0}, uint64(0))
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 3, 0, 1, 1, 0, 0, 3, 0, 3}, uint64(1)<<52)
+	f.Add([]byte{2, 0, 1, 3, 0xff, 0xff, 4, 0x12, 0x34, 0, 0, 0}, ^uint64(0))
+	f.Add([]byte{4, 0xff, 0xff, 4, 0xff, 0xff, 4, 0xff, 0xff}, uint64(12345))
+	f.Add(bytes.Repeat([]byte{3, 0, 0}, 2048), uint64(1)<<63)
+	f.Fuzz(func(t *testing.T, data []byte, x uint64) {
+		if len(data) > 3*2048 {
+			data = data[:3*2048]
+		}
+		w := make([]float64, len(data)/3)
+		for i := range w {
+			m := float64(uint16(data[3*i+1])<<8|uint16(data[3*i+2])) + 1
+			switch data[3*i] % 5 {
+			case 0:
+				w[i] = 0
+			case 1:
+				w[i] = -m
+			case 2:
+				w[i] = m * 1e-300
+			case 3:
+				w[i] = m
+			case 4:
+				w[i] = m * 1e300
+			}
+		}
+		total := positiveMass(w)
+		if len(w) == 0 || !(total > 0) || math.IsInf(total, 1) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewCategorical accepted %d weights of mass %v", len(w), total)
+				}
+			}()
+			NewCategorical(w)
+			return
+		}
+		c := NewCategorical(w)
+		check := func(word uint64) {
+			if i, j := c.sampleWord(word), scanFrom(w, total, word); i != j {
+				t.Fatalf("%d weights, word %#x: Sample = %d, linear scan = %d", len(w), word, i, j)
+			}
+		}
+		check(x)
+		high := x >> 53 << 53
+		for b := uint64(0); b < uint64(len(c.guide)); b++ {
+			first := b << c.shift
+			last := first | (1<<c.shift - 1)
+			check(first)
+			check(last)
+			check(high | last)
+		}
+	})
+}
+
+// TestRNGMatchesRand pins RNG's direct draws to math/rand/v2 over the same
+// PCG: any interleaving of RNG's own methods and the embedded rand.Rand's
+// yields the values and leaves the stream where rand.Rand does.
+func TestRNGMatchesRand(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63, 0x9e3779b97f4a7c15} {
+		got := NewRNG(seed)
+		want := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+		pick := rand.New(rand.NewPCG(seed, 7))
+		for step := 0; step < 2000; step++ {
+			switch pick.IntN(8) {
+			case 0:
+				if a, b := got.Uint64(), want.Uint64(); a != b {
+					t.Fatalf("seed %d step %d: Uint64 = %#x, want %#x", seed, step, a, b)
+				}
+			case 1:
+				if a, b := got.Float64(), want.Float64(); a != b {
+					t.Fatalf("seed %d step %d: Float64 = %v, want %v", seed, step, a, b)
+				}
+			case 2:
+				p := pick.Float64()
+				if a, b := got.Bernoulli(p), want.Float64() < p; a != b {
+					t.Fatalf("seed %d step %d: Bernoulli(%v) = %v, want %v", seed, step, p, a, b)
+				}
+			case 3:
+				n := 1 << pick.IntN(12)
+				if a, b := got.IntN(n), want.IntN(n); a != b {
+					t.Fatalf("seed %d step %d: IntN(%d) = %d, want %d", seed, step, n, a, b)
+				}
+			case 4:
+				n := 1 + pick.IntN(1000)
+				if a, b := got.IntN(n), want.IntN(n); a != b {
+					t.Fatalf("seed %d step %d: IntN(%d) = %d, want %d", seed, step, n, a, b)
+				}
+			case 5:
+				n := pick.IntN(20)
+				if a, b := got.Perm(n), want.Perm(n); fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("seed %d step %d: Perm(%d) = %v, want %v", seed, step, n, a, b)
+				}
+			case 6:
+				child := got.Split()
+				wantChild := rand.New(rand.NewPCG(want.Uint64(), want.Uint64()))
+				for k := 0; k < 4; k++ {
+					if a, b := child.Uint64(), wantChild.Uint64(); a != b {
+						t.Fatalf("seed %d step %d: Split child word %d = %#x, want %#x", seed, step, k, a, b)
+					}
+				}
+			case 7:
+				if a, b := got.Rand.Uint64(), want.Uint64(); a != b {
+					t.Fatalf("seed %d step %d: embedded Uint64 = %#x, want %#x", seed, step, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestIntNPowerOfTwoIsLowBits pins the identity sampling kernels use for
+// fair coins: IntN of a power of two is the next word's low bits.
+func TestIntNPowerOfTwoIsLowBits(t *testing.T) {
+	a, b := NewRNG(3), NewRNG(3)
+	for i := 0; i < 1000; i++ {
+		n := 1 << (i % 16)
+		if x, y := a.IntN(n), int(b.Uint64()&uint64(n-1)); x != y {
+			t.Fatalf("draw %d: IntN(%d) = %d, low bits = %d", i, n, x, y)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 
 	"hamlet/internal/dataset"
 	"hamlet/internal/relational"
@@ -99,19 +100,35 @@ type SimConfig struct {
 	NeedleP float64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The comparisons are written so that a
+// NaN parameter fails them.
 func (c SimConfig) Validate() error {
+	switch c.Scenario {
+	case OneXr, AllXsXr, XsFkOnly:
+	default:
+		return fmt.Errorf("synth: unknown scenario %d", c.Scenario)
+	}
 	if c.DS < 0 || c.DR < 1 {
 		return fmt.Errorf("synth: need dS ≥ 0 and dR ≥ 1, got dS=%d dR=%d", c.DS, c.DR)
 	}
 	if c.NR < 2 {
 		return fmt.Errorf("synth: need nR ≥ 2, got %d", c.NR)
 	}
-	if c.P < 0 || c.P > 1 {
+	if !(c.P >= 0 && c.P <= 1) {
 		return fmt.Errorf("synth: noise p must lie in [0,1], got %v", c.P)
 	}
-	if c.Skew == NeedleThreadSkew && (c.NeedleP <= 0 || c.NeedleP >= 1) {
-		return fmt.Errorf("synth: needle probability must lie in (0,1), got %v", c.NeedleP)
+	switch c.Skew {
+	case NoSkew:
+	case ZipfSkew:
+		if !(c.ZipfS >= 0 && c.ZipfS <= math.MaxFloat64) {
+			return fmt.Errorf("synth: Zipf exponent must be finite and ≥ 0, got %v", c.ZipfS)
+		}
+	case NeedleThreadSkew:
+		if !(c.NeedleP > 0 && c.NeedleP < 1) {
+			return fmt.Errorf("synth: needle probability must lie in (0,1), got %v", c.NeedleP)
+		}
+	default:
+		return fmt.Errorf("synth: unknown skew %d", c.Skew)
 	}
 	return nil
 }
@@ -121,19 +138,23 @@ func (c SimConfig) Validate() error {
 type World struct {
 	// Cfg is the generating configuration.
 	Cfg SimConfig
-	// R[rid][j] is attribute table cell (rid, feature j), 0 or 1.
+	// R[rid][j] is attribute table cell (rid, feature j), 0 or 1. The rows
+	// are windows of cells.
 	R [][]int32
+	// cells holds R row-major: cell (rid, j) is cells[rid*DR+j].
+	cells []int32
 	// majority[rid] is the X_R majority vote used by AllXsXr.
 	majority []int32
 	// ridLabel[rid] is the latent per-RID label bit used by XsFkOnly.
 	ridLabel []int32
 	// fk draws FK from its marginal.
 	fk *stats.Categorical
-	// votersByBit[b] lists RIDs whose majority equals b (AllXsXr).
+	// votersByBit[b] lists RIDs whose majority equals b. Only AllXsXr
+	// worlds build it and voterFK.
 	votersByBit [2][]int
 	// voterFK[b] draws an index into votersByBit[b] from the FK marginal
 	// restricted to those RIDs; nil when that restriction has no mass, in
-	// which case the draw is uniform (AllXsXr).
+	// which case the draw is uniform.
 	voterFK [2]*stats.Categorical
 }
 
@@ -145,10 +166,10 @@ func NewWorld(cfg SimConfig, seed uint64) (*World, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(seed)
-	w := &World{Cfg: cfg}
+	w := &World{Cfg: cfg, cells: make([]int32, cfg.NR*cfg.DR)}
 	w.R = make([][]int32, cfg.NR)
 	for rid := range w.R {
-		row := make([]int32, cfg.DR)
+		row := w.cells[rid*cfg.DR : (rid+1)*cfg.DR : (rid+1)*cfg.DR]
 		for j := range row {
 			row[j] = int32(rng.IntN(2))
 		}
@@ -178,12 +199,9 @@ func NewWorld(cfg SimConfig, seed uint64) (*World, error) {
 		w.ridLabel[rid] = int32(rng.IntN(2))
 	}
 	// Ensure both majority classes are inhabited so AllXsXr sampling is
-	// well defined, then index RIDs by their majority bit.
+	// well defined.
 	w.majority[0] = 0
 	w.majority[cfg.NR-1] = 1
-	for rid := range w.R {
-		w.votersByBit[w.majority[rid]] = append(w.votersByBit[w.majority[rid]], rid)
-	}
 	var fkWeights []float64
 	switch cfg.Skew {
 	case NoSkew:
@@ -195,12 +213,17 @@ func NewWorld(cfg SimConfig, seed uint64) (*World, error) {
 		fkWeights = stats.NewZipf(cfg.NR, cfg.ZipfS).Probs()
 	case NeedleThreadSkew:
 		fkWeights = stats.NeedleAndThread{N: cfg.NR, NeedleProb: cfg.NeedleP}.Probs()
-	default:
-		return nil, fmt.Errorf("synth: unknown skew %d", cfg.Skew)
 	}
-	// The cumulative tables are built once here; every draw is then one
-	// Float64 and a binary search.
+	// The samplers' tables are built once here; every draw is then one word
+	// and an O(1) expected guide-table walk.
 	w.fk = stats.NewCategorical(fkWeights)
+	if cfg.Scenario != AllXsXr {
+		return w, nil
+	}
+	// AllXsXr indexes RIDs by their majority bit.
+	for rid := range w.R {
+		w.votersByBit[w.majority[rid]] = append(w.votersByBit[w.majority[rid]], rid)
+	}
 	for b, voters := range w.votersByBit {
 		weights := make([]float64, len(voters))
 		total := 0.0
@@ -248,51 +271,6 @@ func (w *World) NoFKFeatures() []int {
 	return append(append([]int(nil), xs...), xr...)
 }
 
-// sampleLabelAndFK draws (Y, FK) from the world's joint distribution.
-func (w *World) sampleLabelAndFK(rng *stats.RNG) (y int32, fk int) {
-	cfg := w.Cfg
-	switch cfg.Scenario {
-	case OneXr:
-		fk = w.fk.Sample(rng)
-		xr := w.R[fk][0]
-		// P(Y=0|X_r=0) = P(Y=1|X_r=1) = p.
-		if xr == 0 {
-			if rng.Bernoulli(cfg.P) {
-				y = 0
-			} else {
-				y = 1
-			}
-		} else {
-			if rng.Bernoulli(cfg.P) {
-				y = 1
-			} else {
-				y = 0
-			}
-		}
-	case AllXsXr:
-		y = int32(rng.IntN(2))
-		target := y
-		if rng.Bernoulli(cfg.P) {
-			target = 1 - target
-		}
-		// Draw FK from the RIDs whose majority vote equals target,
-		// weighted by the FK marginal restricted to that set.
-		voters := w.votersByBit[target]
-		if cat := w.voterFK[target]; cat != nil {
-			fk = voters[cat.Sample(rng)]
-		} else {
-			fk = voters[rng.IntN(len(voters))]
-		}
-	case XsFkOnly:
-		fk = w.fk.Sample(rng)
-		y = w.ridLabel[fk]
-		if rng.Bernoulli(cfg.P) {
-			y = 1 - y
-		}
-	}
-	return y, fk
-}
-
 // Sample draws n i.i.d. labeled examples and materializes them as a design
 // matrix with the FeatureLayout column order.
 func (w *World) Sample(n int, rng *stats.RNG) *dataset.Design {
@@ -305,6 +283,11 @@ func (w *World) Sample(n int, rng *stats.RNG) *dataset.Design {
 // shape) a new design is allocated. Either way it consumes rng exactly as
 // Sample(n, rng) does, and the result equals Sample's. A Monte Carlo trial
 // loop uses it to redraw one training design per trial without allocating.
+//
+// Each row consumes the stream in a fixed order: the scenario's label and FK
+// draws, then one word per X_S cell in column order. The scenario is chosen
+// once per call, and X_R, which FK determines, is gathered from R column by
+// column after the row loop.
 func (w *World) SampleInto(m *dataset.Design, n int, rng *stats.RNG) *dataset.Design {
 	cfg := w.Cfg
 	if m == nil || len(m.Y) != n || len(m.Features) != cfg.DS+1+cfg.DR || m.Features[cfg.DS].Card != cfg.NR {
@@ -313,29 +296,67 @@ func (w *World) SampleInto(m *dataset.Design, n int, rng *stats.RNG) *dataset.De
 	// Columns follow the FeatureLayout: X_S in [0, DS), FK at DS, X_R
 	// after it.
 	xs, fk, xr := m.Features[:cfg.DS], m.Features[cfg.DS].Data[:n], m.Features[cfg.DS+1:]
-	// X_S cells either echo Y through a p-noisy channel or are fair coins;
-	// the branch is per world, not per cell.
-	xsEchoY := cfg.Scenario == AllXsXr || cfg.Scenario == XsFkOnly
-	for i := 0; i < n; i++ {
-		y, rid := w.sampleLabelAndFK(rng)
-		m.Y[i] = y
-		fk[i] = int32(rid)
-		for j, v := range w.R[rid] {
-			xr[j].Data[i] = v
+	y, p, dR := m.Y[:n], cfg.P, cfg.DR
+	switch cfg.Scenario {
+	case OneXr:
+		// P(Y=0|X_r=0) = P(Y=1|X_r=1) = p, and X_S cells are fair coins.
+		for i := range y {
+			rid := w.fk.Sample(rng)
+			fk[i] = int32(rid)
+			y[i] = w.cells[rid*dR] ^ 1 ^ bit(rng.Float64() < p)
+			for j := range xs {
+				xs[j].Data[i] = int32(rng.Uint64() & 1)
+			}
 		}
-		for j := range xs {
-			if xsEchoY {
-				v := y
-				if rng.Bernoulli(cfg.P) {
-					v = 1 - v
-				}
-				xs[j].Data[i] = v
+	case AllXsXr:
+		// Y is a fair coin; FK is drawn from the RIDs whose majority vote
+		// is Y flipped with probability p, weighted by the FK marginal
+		// restricted to them; X_S cells echo Y through the p-noisy channel.
+		for i := range y {
+			label := int32(rng.Uint64() & 1)
+			target := label ^ bit(rng.Float64() < p)
+			voters := w.votersByBit[target]
+			var rid int
+			if cat := w.voterFK[target]; cat != nil {
+				rid = voters[cat.Sample(rng)]
 			} else {
-				xs[j].Data[i] = int32(rng.IntN(2))
+				rid = voters[rng.IntN(len(voters))]
+			}
+			y[i], fk[i] = label, int32(rid)
+			for j := range xs {
+				xs[j].Data[i] = label ^ bit(rng.Float64() < p)
+			}
+		}
+	case XsFkOnly:
+		// Y is FK's latent label flipped with probability p; X_S cells
+		// echo Y through the same channel.
+		for i := range y {
+			rid := w.fk.Sample(rng)
+			label := w.ridLabel[rid] ^ bit(rng.Float64() < p)
+			y[i], fk[i] = label, int32(rid)
+			for j := range xs {
+				xs[j].Data[i] = label ^ bit(rng.Float64() < p)
 			}
 		}
 	}
+	// X_R follows FK through the FD: gather each column from R's cells.
+	for j := range xr {
+		col, cells := xr[j].Data[:n], w.cells[j:]
+		for i, rid := range fk {
+			col[i] = cells[int(rid)*dR]
+		}
+	}
 	return m
+}
+
+// bit is 1 if b holds and 0 otherwise; the compiler sets it from the
+// comparison's flag instead of branching on it.
+func bit(b bool) int32 {
+	var v int32
+	if b {
+		v = 1
+	}
+	return v
 }
 
 // newDesign allocates an n-row design with the FeatureLayout columns.

@@ -25,20 +25,54 @@ func baseCfg() SimConfig {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := baseCfg()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	with := func(edit func(*SimConfig)) SimConfig {
+		c := baseCfg()
+		edit(&c)
+		return c
 	}
-	cases := []SimConfig{
-		{Scenario: OneXr, DS: -1, DR: 4, NR: 40, P: 0.1},
-		{Scenario: OneXr, DS: 2, DR: 0, NR: 40, P: 0.1},
-		{Scenario: OneXr, DS: 2, DR: 4, NR: 1, P: 0.1},
-		{Scenario: OneXr, DS: 2, DR: 4, NR: 40, P: 1.5},
-		{Scenario: OneXr, DS: 2, DR: 4, NR: 40, P: 0.1, Skew: NeedleThreadSkew, NeedleP: 0},
+	good := map[string]SimConfig{
+		"base":        baseCfg(),
+		"no X_S":      with(func(c *SimConfig) { c.DS = 0 }),
+		"noiseless":   with(func(c *SimConfig) { c.P = 0 }),
+		"zipf s=0":    with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, 0 }),
+		"zipf s=2000": with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, 2000 }),
+		"needle 0.5":  with(func(c *SimConfig) { c.Skew, c.NeedleP = NeedleThreadSkew, 0.5 }),
+		// Only the chosen skew's parameter is checked.
+		"no skew, NaN zipf": with(func(c *SimConfig) { c.ZipfS, c.NeedleP = math.NaN(), math.NaN() }),
 	}
-	for i, c := range cases {
+	for name, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if _, err := NewWorld(c, 1); err != nil {
+			t.Errorf("%s: NewWorld: %v", name, err)
+		}
+	}
+	bad := map[string]SimConfig{
+		"negative dS":      with(func(c *SimConfig) { c.DS = -1 }),
+		"no X_R":           with(func(c *SimConfig) { c.DR = 0 }),
+		"nR=1":             with(func(c *SimConfig) { c.NR = 1 }),
+		"p>1":              with(func(c *SimConfig) { c.P = 1.5 }),
+		"p<0":              with(func(c *SimConfig) { c.P = -0.1 }),
+		"NaN p":            with(func(c *SimConfig) { c.P = math.NaN() }),
+		"unknown scenario": with(func(c *SimConfig) { c.Scenario = Scenario(7) }),
+		"unknown skew":     with(func(c *SimConfig) { c.Skew = Skew(7) }),
+		"needle 0":         with(func(c *SimConfig) { c.Skew, c.NeedleP = NeedleThreadSkew, 0 }),
+		"needle 1":         with(func(c *SimConfig) { c.Skew, c.NeedleP = NeedleThreadSkew, 1 }),
+		"NaN needle":       with(func(c *SimConfig) { c.Skew, c.NeedleP = NeedleThreadSkew, math.NaN() }),
+		"NaN zipf":         with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, math.NaN() }),
+		"zipf -Inf":        with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, math.Inf(-1) }),
+		"zipf +Inf":        with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, math.Inf(1) }),
+		"zipf -2000":       with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, -2000 }),
+		"zipf -0.5":        with(func(c *SimConfig) { c.Skew, c.ZipfS = ZipfSkew, -0.5 }),
+	}
+	for name, c := range bad {
 		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, c)
+			t.Errorf("%s accepted: %+v", name, c)
+		}
+		// NewWorld refuses the same configs with an error, not a panic.
+		if _, err := NewWorld(c, 1); err == nil {
+			t.Errorf("%s: NewWorld accepted %+v", name, c)
 		}
 	}
 }
@@ -330,29 +364,64 @@ func digestDesign(m *dataset.Design) uint64 {
 
 // sampleCases covers every scenario under every FK skew.
 func sampleCases() []SimConfig {
+	return shapeCases(3, 40)
+}
+
+// shapeCases is every scenario under every FK skew at one d_S and n_R.
+func shapeCases(dS, nR int) []SimConfig {
 	var out []SimConfig
 	for _, sc := range []Scenario{OneXr, AllXsXr, XsFkOnly} {
 		for _, sk := range []Skew{NoSkew, ZipfSkew, NeedleThreadSkew} {
-			out = append(out, SimConfig{Scenario: sc, DS: 3, DR: 4, NR: 40, P: 0.1, Skew: sk, ZipfS: 2, NeedleP: 0.5})
+			out = append(out, SimConfig{Scenario: sc, DS: dS, DR: 4, NR: nR, P: 0.1, Skew: sk, ZipfS: 2, NeedleP: 0.5})
 		}
 	}
 	return out
 }
 
-// TestSampleDigestsPinned pins sampled designs to digests recorded when FK
-// was drawn by a linear scan over the weights: the cumulative tables must
-// draw the same rows from the same stream, in every scenario and skew.
+// TestSampleDigestsPinned pins sampled designs to digests recorded from
+// earlier samplers: the first nine when FK was drawn by a linear scan over
+// the weights, the rest from the binary-search sampler the guide table
+// replaced. Every sampler must draw the same rows from the same stream, in
+// every scenario and skew, with and without X_S, with n_R large enough for
+// a guide table of 8192 buckets, and with a Zipf exponent large enough that
+// one majority class has no FK mass and its draw falls back to IntN.
 func TestSampleDigestsPinned(t *testing.T) {
-	want := []uint64{
-		0x9425a9d687d387eb, 0xfaf2905c720d0a80, 0x1078f0e13cc78702, // OneXr
-		0xbae85b3b672397aa, 0xdaa6193b26150ffb, 0x61fc6187e6226276, // AllXsXr
-		0x97ad34eafdaec76b, 0x60e096a79e1ca881, 0x597d8b063df3d452, // XsFkOnly
+	type pinned struct {
+		cases []SimConfig
+		want  []uint64
 	}
-	for i, cfg := range sampleCases() {
-		w := mustWorld(t, cfg, 11)
-		if got := digestDesign(w.Sample(300, stats.NewRNG(5))); got != want[i] {
-			t.Errorf("%v/%v: sample digest %#016x, want %#016x", cfg.Scenario, cfg.Skew, got, want[i])
+	var zipf2000 []SimConfig
+	for _, sc := range []Scenario{OneXr, AllXsXr, XsFkOnly} {
+		zipf2000 = append(zipf2000, SimConfig{Scenario: sc, DS: 3, DR: 4, NR: 40, P: 0.1, Skew: ZipfSkew, ZipfS: 2000})
+	}
+	for _, pin := range []pinned{
+		{sampleCases(), []uint64{
+			0x9425a9d687d387eb, 0xfaf2905c720d0a80, 0x1078f0e13cc78702, // OneXr
+			0xbae85b3b672397aa, 0xdaa6193b26150ffb, 0x61fc6187e6226276, // AllXsXr
+			0x97ad34eafdaec76b, 0x60e096a79e1ca881, 0x597d8b063df3d452, // XsFkOnly
+		}},
+		{shapeCases(0, 40), []uint64{
+			0x45308574fc60e20b, 0xe08a4d29c790fcbe, 0x6161b73ddf6eb73e, // OneXr
+			0xccf119be021f326a, 0x8f779353f07d1065, 0x50ec43f47c2cbe41, // AllXsXr
+			0x4c8403671f29b87a, 0x20679c8e552ef5fe, 0x45699178a65f5c4f, // XsFkOnly
+		}},
+		{shapeCases(3, 5000), []uint64{
+			0xe428314015401a6d, 0xb55227cd6bef0dc4, 0x4009c05eb1c3944f, // OneXr
+			0xf0b53aec625bf579, 0x82a72d698460b8a4, 0x7a815375372c806d, // AllXsXr
+			0xffe5a63c2b4ebc9d, 0x5a4e93f5cb619cf4, 0x69dee9141e4ec85f, // XsFkOnly
+		}},
+		{zipf2000, []uint64{0xf71f3f7dd36b552e, 0x4121f1fa66edd523, 0x59cb6c761f6c2f4e}},
+	} {
+		for i, cfg := range pin.cases {
+			w := mustWorld(t, cfg, 11)
+			if got := digestDesign(w.Sample(300, stats.NewRNG(5))); got != pin.want[i] {
+				t.Errorf("%v/%v dS=%d nR=%d s=%v: sample digest %#016x, want %#016x",
+					cfg.Scenario, cfg.Skew, cfg.DS, cfg.NR, cfg.ZipfS, got, pin.want[i])
+			}
 		}
+	}
+	if w := mustWorld(t, zipf2000[1], 11); w.voterFK[1] != nil {
+		t.Fatal("zipf s=2000: majority class 1 carries FK mass, so the IntN fallback is not exercised")
 	}
 }
 
