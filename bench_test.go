@@ -91,6 +91,28 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarloWideFK is BenchmarkMonteCarloWorkers' budget at the
+// point where a world's test rows seldom repeat: d_S = 4 and n_R = 5,000
+// give 80,000 possible rows, so nearly all 500 test rows are distinct and
+// scoring each distinct row once saves almost nothing. On one worker it
+// shows what compacting the test set costs when it cannot help.
+func BenchmarkMonteCarloWideFK(b *testing.B) {
+	sim := synth.SimConfig{Scenario: synth.OneXr, DS: 4, DR: 4, NR: 5000, P: 0.1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out, err := biasvar.Run(sim, biasvar.Config{
+			NTrain: 1000, NTest: 500, L: 24, Worlds: 8, Seed: 1,
+			Workers: 1, Learner: nb.New(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != 3 {
+			b.Fatalf("want 3 model classes, got %d", len(out))
+		}
+	}
+}
+
 // Substrate micro-benchmarks.
 
 // BenchmarkWorldSample measures one Monte Carlo trial's training draw on its

@@ -22,17 +22,21 @@
 // reported aggregate quantities (average test error, average bias, average
 // net variance) are the ones plotted in the paper's Figures 3, 10, 11, 13.
 //
-// A trial is one training sample (see RunWorld for its cost). A Naive Bayes
-// trial predicts every model class from one nb.SubsetScorer and builds no
-// Model, so during a Naive Bayes run nb.fits, nb.models_assembled,
-// ml.predict_batches and ml.rows_predicted do not move, nb.stats_builds
-// counts one per trial, and biasvar.models_trained counts one per (trial,
-// model class).
+// A trial is one training sample (see RunWorld for its cost). It predicts
+// only the world's distinct test rows: RunWorld compacts the test set once,
+// takes each distinct row's P(Y|x) once, and decompose adds each row's terms
+// in test-row order. A Naive Bayes trial predicts every model class from one
+// nb.SubsetScorer and builds no Model, so during a Naive Bayes run nb.fits,
+// nb.models_assembled, ml.predict_batches and ml.rows_predicted do not
+// move, nb.stats_builds counts one per trial, and biasvar.models_trained
+// counts one per (trial, model class). With any other learner,
+// ml.rows_predicted counts the distinct test rows of each (trial, model
+// class), not the test rows.
 package biasvar
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 
 	"hamlet/internal/dataset"
@@ -104,10 +108,10 @@ type Config struct {
 	// depends on scheduling, and the floating-point reductions happen in
 	// index order after the pool drains.
 	Workers int
-	// Learner trains the models; nil means Naive Bayes is supplied by the
-	// caller (Run requires it non-nil). The learner's Fit is called from
-	// multiple goroutines when Workers > 1, so it must be safe for
-	// concurrent use (the Naive Bayes and TAN learners are stateless).
+	// Learner trains the models; Run and RunWorld refuse a nil one. Its
+	// Fit is called from multiple goroutines when Workers > 1, so it must
+	// be safe for concurrent use (the Naive Bayes and TAN learners are
+	// stateless).
 	Learner ml.Learner
 	// Progress, when non-nil, receives one unit of total per (world,
 	// training set) pair and one step as each completes, driving the CLIs'
@@ -120,17 +124,41 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	if err := c.validateWorld(); err != nil {
+		return err
+	}
+	if c.Worlds < 1 {
+		return fmt.Errorf("biasvar: need at least 1 world, got %d", c.Worlds)
+	}
+	return nil
+}
+
+// validateWorld checks the fields RunWorld uses.
+func (c Config) validateWorld() error {
 	if c.NTrain <= 0 || c.NTest <= 0 {
 		return fmt.Errorf("biasvar: need positive train/test sizes, got %d/%d", c.NTrain, c.NTest)
 	}
 	if c.L < 2 {
 		return fmt.Errorf("biasvar: need at least 2 training sets per world, got %d", c.L)
 	}
-	if c.Worlds < 1 {
-		return fmt.Errorf("biasvar: need at least 1 world, got %d", c.Worlds)
-	}
 	if c.Learner == nil {
 		return fmt.Errorf("biasvar: nil learner")
+	}
+	return nil
+}
+
+// checkClasses refuses a model class without a name or with another
+// class's name: RunWorld reports one decomposition per name.
+func checkClasses(classes []ModelClass) error {
+	seen := make(map[string]bool, len(classes))
+	for i, mc := range classes {
+		if mc.Name == "" {
+			return fmt.Errorf("biasvar: model class %d has no name", i)
+		}
+		if seen[mc.Name] {
+			return fmt.Errorf("biasvar: model class %q named twice", mc.Name)
+		}
+		seen[mc.Name] = true
 	}
 	return nil
 }
@@ -232,31 +260,45 @@ func Run(simCfg synth.SimConfig, cfg Config) (map[string]Decomp, error) {
 
 // RunWorld performs the decomposition within a single world: it samples one
 // test set and L training sets, trains each model class on every training
-// set, and aggregates the pointwise decomposition over the test set.
+// set, and aggregates the pointwise decomposition over the test set. It
+// checks the fields of cfg it uses (all but Worlds) as Validate does, and
+// refuses a class without a name or with another class's name.
 //
 // The L fits are independent and run on cfg.Workers goroutines; each trial
 // draws its training set from an RNG split off rng in trial order before
 // dispatch (after the test set is sampled), so the decomposition is
 // bitwise-identical at every worker count.
 //
-// With the Naive Bayes learner a trial tabulates its training sample once
-// (nb.NewStats) and predicts every model class from one nb.SubsetScorer over
-// the test set, whose predictions equal Fit followed by ml.PredictAll bit
-// for bit; any other learner is fit and applied once per class. Trials
-// recycle their training design and scorer through a pool local to the
-// call, so a world allocates one set per concurrent trial, not one per
-// trial.
+// The test set is compacted once into its distinct rows (see compact), and
+// every trial predicts only those: a prediction is a function of its row,
+// so each test row's prediction is its distinct row's. With the Naive Bayes
+// learner a trial tabulates its training sample once (nb.NewStats) and
+// predicts every model class from one nb.SubsetScorer over the distinct
+// rows, whose predictions equal Fit followed by ml.PredictAll bit for bit;
+// any other learner is fit and applied once per class. Trials recycle their
+// training design and scorer through a pool local to the call, so a world
+// allocates one set per concurrent trial, not one per trial, and all
+// predictions land in one buffer allocated per world.
 func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.RNG) (map[string]Decomp, error) {
-	test := world.Sample(cfg.NTest, rng)
+	if err := cfg.validateWorld(); err != nil {
+		return nil, err
+	}
+	if err := checkClasses(classes); err != nil {
+		return nil, err
+	}
+	test := newTestSet(world, world.Sample(cfg.NTest, rng))
 	trialRNG := make([]*stats.RNG, cfg.L)
 	for l := range trialRNG {
 		trialRNG[l] = rng.Split()
 	}
-	// preds[class][l] is the prediction vector of model l on the test set.
-	// Concurrent trials write disjoint elements of these shared slices.
-	preds := make(map[string][][]int32, len(classes))
-	for _, mc := range classes {
-		preds[mc.Name] = make([][]int32, cfg.L)
+	// preds[c] holds class c's predictions of the distinct test rows, model
+	// l's at [l*d, (l+1)*d), one byte each: the target is binary.
+	// Concurrent trials write disjoint ranges.
+	d := test.rows.NumRows()
+	buf := make([]uint8, len(classes)*cfg.L*d)
+	preds := make([][]uint8, len(classes))
+	for c := range preds {
+		preds[c] = buf[c*cfg.L*d : (c+1)*cfg.L*d]
 	}
 	nbl, _ := cfg.Learner.(*nb.Learner)
 	var trials sync.Pool
@@ -269,17 +311,15 @@ func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.R
 		if nbl != nil {
 			s := nb.NewStats(tr.train)
 			if tr.scorer == nil {
-				tr.scorer = nb.NewSubsetScorer(s, nbl.Alpha, test)
+				tr.scorer = nb.NewSubsetScorer(s, nbl.Alpha, test.rows)
 			} else {
 				tr.scorer.Reset(s)
 			}
 		}
-		for _, mc := range classes {
-			p, err := tr.predict(cfg.Learner, mc.Features, test)
-			if err != nil {
+		for c, mc := range classes {
+			if err := tr.predict(cfg.Learner, mc.Features, test.rows, preds[c][l*d:(l+1)*d]); err != nil {
 				return fmt.Errorf("biasvar: class %s: %w", mc.Name, err)
 			}
-			preds[mc.Name][l] = p
 		}
 		trials.Put(tr)
 		modelsTrained.Add(int64(len(classes)))
@@ -291,45 +331,155 @@ func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.R
 		return nil, err
 	}
 	out := make(map[string]Decomp, len(classes))
-	for _, mc := range classes {
-		out[mc.Name] = decompose(world, test, preds[mc.Name])
+	for c, mc := range classes {
+		out[mc.Name] = test.decompose(preds[c])
 	}
 	return out, nil
 }
 
 // trial is the reusable state of one training sample: its design and, for
-// Naive Bayes, the subset scorer over the world's test set.
+// Naive Bayes, the subset scorer over the world's distinct test rows.
 type trial struct {
 	train  *dataset.Design
 	scorer *nb.SubsetScorer
 }
 
-// predict returns the test-set predictions of the model over features
-// trained on tr.train: from the scorer when there is one, else by fitting
-// the learner and applying the model row by row.
-func (tr *trial) predict(l ml.Learner, features []int, test *dataset.Design) ([]int32, error) {
+// predict writes into dst the predictions for rows of the model over
+// features trained on tr.train: from the scorer when there is one, else by
+// fitting the learner and applying the model row by row.
+func (tr *trial) predict(l ml.Learner, features []int, rows *dataset.Design, dst []uint8) error {
+	var p []int32
 	if tr.scorer != nil {
-		p, err := tr.scorer.Predict(features)
-		if err != nil {
-			return nil, err
+		var err error
+		if p, err = tr.scorer.Predict(features); err != nil {
+			return err
 		}
-		return slices.Clone(p), nil
+	} else {
+		mod, err := l.Fit(tr.train, features)
+		if err != nil {
+			return err
+		}
+		p = ml.PredictAll(mod, rows)
 	}
-	mod, err := l.Fit(tr.train, features)
-	if err != nil {
-		return nil, err
+	for i, c := range p {
+		dst[i] = uint8(c)
 	}
-	return ml.PredictAll(mod, test), nil
+	return nil
 }
 
-// decompose computes the pointwise Domingos decomposition and averages it
-// over the test set.
-func decompose(world *synth.World, test *dataset.Design, preds [][]int32) Decomp {
-	n := test.NumRows()
-	l := len(preds)
-	var d Decomp
-	for i := 0; i < n; i++ {
-		p1 := world.TrueConditional(test, i)
+// testSet is a world's test design reduced to its distinct rows, with what
+// decompose needs to expand them back to the test set.
+type testSet struct {
+	// rows holds the distinct rows in the order of their first occurrence,
+	// in the sampled test design's own storage; each keeps its first
+	// occurrence's label, which nothing reads.
+	rows *dataset.Design
+	// of[i] is test row i's index in rows.
+	of []int32
+	// p1[j] is the true P(Y=1 | x) of distinct row j.
+	p1 []float64
+	// terms[j] holds distinct row j's terms while decompose sums them; the
+	// model classes of a world reuse it.
+	terms []rowTerms
+}
+
+// newTestSet compacts test in place and takes each distinct row's true
+// conditional from the world once.
+func newTestSet(world *synth.World, test *dataset.Design) *testSet {
+	of := compact(test)
+	p1 := make([]float64, test.NumRows())
+	for j := range p1 {
+		p1[j] = world.TrueConditional(test, j)
+	}
+	return &testSet{rows: test, of: of, p1: p1}
+}
+
+// compact reduces m in place to its distinct rows, in the order of their
+// first occurrence, and returns each original row's index among them. Rows
+// are compared by an exact integer key: the mixed-radix number whose digits
+// are the row's column values and whose radices are the column
+// cardinalities. Before a column would carry the radix past a uint64, the
+// keys so far are renumbered densely, so the key stays exact at any width
+// without a string per row: a column's values are int32s in [0, Card), so
+// its radix is at most 2^31, and a renumbered key is below the row count.
+func compact(m *dataset.Design) []int32 {
+	n := m.NumRows()
+	key := make([]uint64, n)
+	radix := uint64(1)
+	for _, f := range m.Features {
+		card := uint64(min(max(f.Card, 1), 1<<31))
+		if radix > math.MaxUint64/card {
+			radix = uint64(renumber(key))
+		}
+		for i, v := range f.Data[:n] {
+			key[i] = key[i]*card + uint64(v)
+		}
+		radix *= card
+	}
+	d := renumber(key)
+	of := make([]int32, n)
+	for i, id := range key {
+		of[i] = int32(id)
+	}
+	m.Y = moveFirsts(m.Y, of, d)
+	for c := range m.Features {
+		m.Features[c].Data = moveFirsts(m.Features[c].Data, of, d)
+	}
+	return of
+}
+
+// moveFirsts moves each distinct row's first occurrence in col down to the
+// row's index, given each row's index in of, and returns col's first d
+// elements. Distinct row j first occurs at a row i >= j, and every row
+// before i has been read when it moves, so a move overwrites only rows that
+// are done with.
+func moveFirsts(col, of []int32, d int) []int32 {
+	next := int32(0)
+	for i, id := range of {
+		if id == next {
+			col[next] = col[i]
+			next++
+		}
+	}
+	return col[:d]
+}
+
+// renumber replaces every key by the rank of its first occurrence among the
+// distinct keys and returns their number. The map starts with room for one
+// key per row up to 1,024, so a large test set of few distinct rows does
+// not allocate for all of its rows.
+func renumber(key []uint64) int {
+	ids := make(map[uint64]uint64, min(len(key), 1024))
+	for i, k := range key {
+		id, ok := ids[k]
+		if !ok {
+			id = uint64(len(ids))
+			ids[k] = id
+		}
+		key[i] = id
+	}
+	return len(ids)
+}
+
+// rowTerms is one test row's pointwise decomposition.
+type rowTerms struct {
+	err, bias, variance, netVariance, noise float64
+}
+
+// decompose computes the pointwise Domingos decomposition of every distinct
+// row once and averages it over the test set. preds holds the L models'
+// predictions of the distinct rows, model l's at [l*d, (l+1)*d). Test row i
+// contributes the terms of its distinct row, and the contributions are
+// added in test-row order, so every sum equals the one a row-by-row pass
+// makes, bit for bit.
+func (ts *testSet) decompose(preds []uint8) Decomp {
+	d := len(ts.p1)
+	l := len(preds) / d
+	if cap(ts.terms) < d {
+		ts.terms = make([]rowTerms, d)
+	}
+	terms := ts.terms[:d]
+	for j, p1 := range ts.p1 {
 		// Optimal prediction and noise.
 		var t int32
 		noise := p1
@@ -338,8 +488,8 @@ func decompose(world *synth.World, test *dataset.Design, preds [][]int32) Decomp
 		}
 		// Main prediction: mode of the L predictions (binary target).
 		ones := 0
-		for _, pl := range preds {
-			ones += int(pl[i])
+		for k := j; k < len(preds); k += d {
+			ones += int(preds[k])
 		}
 		var ym int32
 		if 2*ones > l {
@@ -355,26 +505,38 @@ func decompose(world *synth.World, test *dataset.Design, preds [][]int32) Decomp
 			disagree = l - ones
 		}
 		variance := float64(disagree) / float64(l)
-		// Expected test error of each model, exact in P(Y|x).
+		// Expected test error of each model, exact in P(Y|x), summed in
+		// model order.
 		errSum := 0.0
-		for _, pl := range preds {
-			if pl[i] == 1 {
+		for k := j; k < len(preds); k += d {
+			if preds[k] == 1 {
 				errSum += 1 - p1
 			} else {
 				errSum += p1
 			}
 		}
-		d.TestError += errSum / float64(l)
-		d.Bias += bias
-		d.Variance += variance
-		d.NetVariance += (1 - 2*bias) * variance
-		d.Noise += noise
+		terms[j] = rowTerms{
+			err:         errSum / float64(l),
+			bias:        bias,
+			variance:    variance,
+			netVariance: (1 - 2*bias) * variance,
+			noise:       noise,
+		}
 	}
-	fn := float64(n)
-	d.TestError /= fn
-	d.Bias /= fn
-	d.Variance /= fn
-	d.NetVariance /= fn
-	d.Noise /= fn
-	return d
+	var out Decomp
+	for _, j := range ts.of {
+		t := &terms[j]
+		out.TestError += t.err
+		out.Bias += t.bias
+		out.Variance += t.variance
+		out.NetVariance += t.netVariance
+		out.Noise += t.noise
+	}
+	fn := float64(len(ts.of))
+	out.TestError /= fn
+	out.Bias /= fn
+	out.Variance /= fn
+	out.NetVariance /= fn
+	out.Noise /= fn
+	return out
 }

@@ -1,10 +1,12 @@
 package biasvar
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"hamlet/internal/ml/nb"
+	"hamlet/internal/pool"
 	"hamlet/internal/stats"
 	"hamlet/internal/synth"
 )
@@ -179,18 +181,63 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestRunWorldRejectsBadConfigs checks that RunWorld, which callers use
+// without Run, refuses what Validate refuses of the fields it uses (all but
+// Worlds) with an error rather than NaN results or a recovered panic, and
+// refuses model classes it could not report apart: one without a name and
+// two with the same name.
+func TestRunWorldRejectsBadConfigs(t *testing.T) {
+	world, err := synth.NewWorld(simCfg(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Config{NTrain: 100, NTest: 50, L: 4, Learner: nb.New()}
+	std := StandardClasses(world)
+	if _, err := RunWorld(world, std, good, stats.NewRNG(1)); err != nil {
+		t.Fatalf("good config refused: %v", err)
+	}
+	with := func(edit func(*Config)) Config {
+		c := good
+		edit(&c)
+		return c
+	}
+	cases := []struct {
+		name    string
+		cfg     Config
+		classes []ModelClass
+	}{
+		{"L=0", with(func(c *Config) { c.L = 0 }), std},
+		{"L=1", with(func(c *Config) { c.L = 1 }), std},
+		{"NTest=0", with(func(c *Config) { c.NTest = 0 }), std},
+		{"NTrain=0", with(func(c *Config) { c.NTrain = 0 }), std},
+		{"nil learner", with(func(c *Config) { c.Learner = nil }), std},
+		{"repeated class name", good, []ModelClass{std[0], {Name: std[0].Name, Features: std[1].Features}}},
+		{"unnamed class", good, []ModelClass{std[0], {Features: std[1].Features}}},
+	}
+	for _, tc := range cases {
+		out, err := RunWorld(world, tc.classes, tc.cfg, stats.NewRNG(1))
+		var pe *pool.PanicError
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted, returned %v", tc.name, out)
+		case errors.As(err, &pe):
+			t.Errorf("%s: refused by a recovered panic: %v", tc.name, pe.Value)
+		}
+	}
+}
+
 func TestDecomposeHandlesUnanimousModels(t *testing.T) {
 	// All models identical → variance 0 and net variance 0.
 	world, err := synth.NewWorld(simCfg(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := world.Sample(50, stats.NewRNG(1))
-	pred := make([]int32, 50)
+	test := newTestSet(world, world.Sample(50, stats.NewRNG(1)))
+	pred := make([]uint8, 3*test.rows.NumRows())
 	for i := range pred {
 		pred[i] = 1
 	}
-	d := decompose(world, test, [][]int32{pred, pred, pred})
+	d := test.decompose(pred)
 	if d.Variance != 0 || d.NetVariance != 0 {
 		t.Fatalf("unanimous models should have zero variance: %+v", d)
 	}
