@@ -124,6 +124,26 @@ func BenchmarkMonteCarloWideFK(b *testing.B) {
 // (p = 0.5) skews, whose guide buckets hold uneven numbers of cumulative
 // weights. A trial allocates nothing here.
 func BenchmarkWorldSample(b *testing.B) {
+	benchWorlds(b, func(w *synth.World, rng *stats.RNG) func() {
+		m := w.Sample(1000, rng)
+		return func() { m = w.SampleInto(m, 1000, rng) }
+	})
+}
+
+// BenchmarkWorldTally is BenchmarkWorldSample's draws tallied into reused
+// Naive Bayes count tables instead of stored, as a Naive Bayes trial takes
+// them: the same words, no design, and X_R's counts summed from FK's
+// through R (2·n_R = 80 ≤ 1,000 rows).
+func BenchmarkWorldTally(b *testing.B) {
+	benchWorlds(b, func(w *synth.World, rng *stats.RNG) func() {
+		s := w.TallyInto(nil, 1000, rng)
+		return func() { s = w.TallyInto(s, 1000, rng) }
+	})
+}
+
+// benchWorlds runs one sub-benchmark per world shape of
+// BenchmarkWorldSample, timing the draw that setup returns.
+func benchWorlds(b *testing.B, setup func(*synth.World, *stats.RNG) func()) {
 	oneXr := synth.SimConfig{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1}
 	zipf, needle := oneXr, oneXr
 	zipf.Skew, zipf.ZipfS = synth.ZipfSkew, 2
@@ -144,12 +164,11 @@ func BenchmarkWorldSample(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := stats.NewRNG(2)
-			m := w.Sample(1000, rng)
+			draw := setup(w, stats.NewRNG(2))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m = w.SampleInto(m, 1000, rng)
+				draw()
 			}
 		})
 	}

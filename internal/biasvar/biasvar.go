@@ -28,7 +28,8 @@
 // in test-row order. A Naive Bayes trial predicts every model class from one
 // nb.SubsetScorer and builds no Model, so during a Naive Bayes run nb.fits,
 // nb.models_assembled, ml.predict_batches and ml.rows_predicted do not
-// move, nb.stats_builds counts one per trial, and biasvar.models_trained
+// move, nb.stats_builds counts one tabulation per trial (the tally of its
+// sample through nb.Recount), and biasvar.models_trained
 // counts one per (trial, model class). With any other learner,
 // ml.rows_predicted counts the distinct test rows of each (trial, model
 // class), not the test rows.
@@ -272,13 +273,16 @@ func Run(simCfg synth.SimConfig, cfg Config) (map[string]Decomp, error) {
 // The test set is compacted once into its distinct rows (see compact), and
 // every trial predicts only those: a prediction is a function of its row,
 // so each test row's prediction is its distinct row's. With the Naive Bayes
-// learner a trial tabulates its training sample once (nb.NewStats) and
-// predicts every model class from one nb.SubsetScorer over the distinct
-// rows, whose predictions equal Fit followed by ml.PredictAll bit for bit;
-// any other learner is fit and applied once per class. Trials recycle their
-// training design and scorer through a pool local to the call, so a world
-// allocates one set per concurrent trial, not one per trial, and all
-// predictions land in one buffer allocated per world.
+// learner a trial builds no training design: World.TallyInto counts its
+// sample into the trial's count tables as it is drawn, and one
+// nb.SubsetScorer over the distinct rows, Reset against those tables,
+// predicts every model class. The tables equal nb.NewStats of the sampled
+// design, and the scorer's predictions equal Fit followed by ml.PredictAll,
+// bit for bit. Any other learner is fit on a sampled design and applied once
+// per class. Trials recycle their tables, scorer or design through a pool
+// local to the call, so a world allocates one set per concurrent trial, not
+// one per trial, and all predictions land in one buffer allocated per
+// world.
 func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.RNG) (map[string]Decomp, error) {
 	if err := cfg.validateWorld(); err != nil {
 		return nil, err
@@ -307,14 +311,15 @@ func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.R
 		if tr == nil {
 			tr = &trial{}
 		}
-		tr.train = world.SampleInto(tr.train, cfg.NTrain, trialRNG[l])
 		if nbl != nil {
-			s := nb.NewStats(tr.train)
+			tr.stats = world.TallyInto(tr.stats, cfg.NTrain, trialRNG[l])
 			if tr.scorer == nil {
-				tr.scorer = nb.NewSubsetScorer(s, nbl.Alpha, test.rows)
+				tr.scorer = nb.NewSubsetScorer(tr.stats, nbl.Alpha, test.rows)
 			} else {
-				tr.scorer.Reset(s)
+				tr.scorer.Reset(tr.stats)
 			}
+		} else {
+			tr.train = world.SampleInto(tr.train, cfg.NTrain, trialRNG[l])
 		}
 		for c, mc := range classes {
 			if err := tr.predict(cfg.Learner, mc.Features, test.rows, preds[c][l*d:(l+1)*d]); err != nil {
@@ -337,10 +342,12 @@ func RunWorld(world *synth.World, classes []ModelClass, cfg Config, rng *stats.R
 	return out, nil
 }
 
-// trial is the reusable state of one training sample: its design and, for
-// Naive Bayes, the subset scorer over the world's distinct test rows.
+// trial is the reusable state of one training sample: for Naive Bayes its
+// count tables and the subset scorer over the world's distinct test rows,
+// for any other learner its design.
 type trial struct {
 	train  *dataset.Design
+	stats  *nb.Stats
 	scorer *nb.SubsetScorer
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hamlet/internal/ml/nb"
+	"hamlet/internal/obs"
 	"hamlet/internal/pool"
 	"hamlet/internal/stats"
 	"hamlet/internal/synth"
@@ -51,6 +52,30 @@ func TestRunProducesAllClasses(t *testing.T) {
 		if d.TestError < 0 || d.TestError > 1 || d.Bias < 0 || d.Bias > 1 ||
 			d.Variance < 0 || d.Variance > 1 || d.Noise < 0 || d.Noise > 0.5 {
 			t.Fatalf("%s decomposition out of range: %+v", name, d)
+		}
+	}
+}
+
+// TestNBRunTabulatesOncePerTrial pins the package doc's counter contract
+// for Naive Bayes: a Run tabulates each trial's sample once, through the
+// tally, and fits no model, at serial and parallel worker counts.
+func TestNBRunTabulatesOncePerTrial(t *testing.T) {
+	builds, fits, assembled := obs.C("nb.stats_builds"), obs.C("nb.fits"), obs.C("nb.models_assembled")
+	for _, workers := range []int{1, 3} {
+		cfg := runCfg(200)
+		cfg.Workers = workers
+		b0, f0, a0 := builds.Value(), fits.Value(), assembled.Value()
+		if _, err := Run(simCfg(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := builds.Value()-b0, int64(cfg.Worlds*cfg.L); got != want {
+			t.Errorf("workers=%d: nb.stats_builds moved by %d, want Worlds × L = %d", workers, got, want)
+		}
+		if got := fits.Value() - f0; got != 0 {
+			t.Errorf("workers=%d: nb.fits moved by %d, want 0", workers, got)
+		}
+		if got := assembled.Value() - a0; got != 0 {
+			t.Errorf("workers=%d: nb.models_assembled moved by %d, want 0", workers, got)
 		}
 	}
 }

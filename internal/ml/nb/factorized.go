@@ -73,19 +73,10 @@ func StatsFromDataset(d *dataset.Dataset) (*Stats, error) {
 	}
 	// Foreign features: aggregate the FK counts through each R_i.
 	for _, at := range d.Attrs {
-		fk := d.Entity.Column(at.FK)
 		base := fkCounts[at.FK]
 		for _, rc := range at.Table.Columns() {
 			tab := make([]int, y.Card*rc.Card)
-			for c := 0; c < y.Card; c++ {
-				row := base[c*fk.Card : (c+1)*fk.Card]
-				out := tab[c*rc.Card : (c+1)*rc.Card]
-				for rid, cnt := range row {
-					if cnt != 0 {
-						out[rc.Data[rid]] += cnt
-					}
-				}
-			}
+			SumThrough(tab, base, y.Card, rc.Data, rc.Card)
 			addTable(rc.Card, tab)
 		}
 	}

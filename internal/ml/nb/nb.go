@@ -24,9 +24,11 @@
 // The bias–variance Monte Carlo (biasvar.RunWorld) makes the same split per
 // trial: one Stats per training sample, and one SubsetScorer over the test
 // design that predicts every model class, rebound to the next sample with
-// Reset. Neither wrapper search nor a Monte Carlo trial builds a Model, so
-// during them nb.fits and nb.models_assembled stay put while nb.stats_builds
-// counts one tabulation per training sample.
+// Reset. A trial's Stats are counted as its sample is drawn
+// (synth.World.TallyInto, through Recount), with no training design. Neither
+// wrapper search nor a Monte Carlo trial builds a Model, so during them
+// nb.fits and nb.models_assembled stay put while nb.stats_builds counts one
+// tabulation per training sample.
 //
 // Learner.Fit tabulates only the features of the subset it fits, since the
 // model reads no other counts; nb.stats_builds counts that subset pass too,
@@ -101,6 +103,56 @@ func newStats(m *dataset.Design) *Stats {
 		s.Cards[f] = m.Features[f].Card
 	}
 	return s
+}
+
+// Recount returns Stats over n rows of the given classes and feature
+// cardinalities with every count zero, for a caller that counts the rows
+// itself: a sampler that tallies its draws without storing them. It reuses
+// s when s has that shape and allocates new Stats otherwise. Like NewStats
+// it counts one tabulation in nb.stats_builds.
+func Recount(s *Stats, n, classes int, cards []int) *Stats {
+	statsBuilds.Inc()
+	statsRowsHist.Observe(int64(n))
+	if s == nil || s.NumClasses != classes || !slices.Equal(s.Cards, cards) {
+		s = &Stats{
+			NumClasses:  classes,
+			ClassCounts: make([]int, classes),
+			Counts:      make([][]int, len(cards)),
+			Cards:       slices.Clone(cards),
+		}
+		for f, card := range cards {
+			s.Counts[f] = make([]int, classes*card)
+		}
+	} else {
+		clear(s.ClassCounts)
+		for _, tab := range s.Counts {
+			clear(tab)
+		}
+	}
+	s.N = n
+	return s
+}
+
+// SumThrough adds an FK's class-conditional counts into a feature of the
+// table the FK references, through the FD FK → feature: every row with
+// FK = rid has the feature value attr[rid], so for each class c and each
+// rid whose count is nonzero
+//
+//	dst[c*card + attr[rid]] += fk[c*nFK + rid],  nFK = len(fk)/classes.
+//
+// dst and fk are laid out like Stats.Counts. This is the aggregation that
+// makes factorized Naive Bayes statistics exact (see StatsFromDataset).
+func SumThrough(dst, fk []int, classes int, attr []int32, card int) {
+	nFK := len(fk) / classes
+	for c := 0; c < classes; c++ {
+		row := fk[c*nFK : (c+1)*nFK]
+		out := dst[c*card : (c+1)*card]
+		for rid, cnt := range row {
+			if cnt != 0 {
+				out[attr[rid]] += cnt
+			}
+		}
+	}
 }
 
 // count tabulates feature f's class-conditional counts, once.

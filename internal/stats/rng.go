@@ -6,36 +6,80 @@ import (
 	"math/rand/v2"
 )
 
-// RNG is the deterministic random source used throughout Hamlet-Go. It wraps
-// math/rand/v2's PCG generator so that every experiment is exactly
+// RNG is the deterministic random source used throughout Hamlet-Go:
+// math/rand/v2's PCG generator, so that every experiment is exactly
 // reproducible from an explicit pair of 64-bit seeds.
 //
-// The embedded *rand.Rand serves every method RNG does not define. RNG also
-// holds the same PCG and defines Uint64 and Float64 on it directly, so the
-// hot draws of a sampling loop skip the rand.Source interface call; both
-// advance the one shared state exactly as rand.Rand's methods do, so
-// interleaving them with the embedded methods yields rand.Rand's stream.
+// RNG owns its PCG state and steps it itself (pcg), so its Uint64 inlines
+// into a sampling loop instead of costing a call per word. The embedded
+// rand.Rand serves every method RNG does not define and reads the same
+// state as its Source, so there is one stream: interleaving RNG's own draws
+// with the embedded methods yields rand.Rand's stream over rand.NewPCG.
+// Both are held by value, so an RNG is one allocation.
+//
+// The Rand points into the RNG, so an RNG must not be copied: a copy would
+// step its own state while its Rand stepped the original's. go vet's
+// copylocks check reports copies through the noCopy field.
 type RNG struct {
-	*rand.Rand
-	src *rand.PCG
+	rand.Rand
+	noCopy noCopy
+	src    pcg
+}
+
+// noCopy has the Lock and Unlock methods go vet's copylocks check looks for.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// pcg is math/rand/v2's PCG: a 128-bit linear congruential state stepped by
+// the same multiplier and increment, and the DXSM ("double xorshift
+// multiply") output function, so it yields rand.NewPCG's stream word for
+// word. TestRNGMatchesRand pins it to rand.PCG.
+type pcg struct{ hi, lo uint64 }
+
+// Uint64 steps the state and returns the next word. It implements
+// rand.Source.
+func (p *pcg) Uint64() uint64 {
+	const (
+		mulHi    = 2549297995355413924
+		mulLo    = 4865540595714422341
+		incHi    = 6364136223846793005
+		incLo    = 1442695040888963407
+		cheapMul = 0xda942042e4dd58b5
+	)
+	// state = state*mul + inc, mod 2^128.
+	hi, lo := bits.Mul64(p.lo, mulLo)
+	hi += p.hi*mulLo + p.lo*mulHi
+	lo, c := bits.Add64(lo, incLo, 0)
+	hi, _ = bits.Add64(hi, incHi, c)
+	p.lo, p.hi = lo, hi
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	hi *= lo | 1
+	return hi
 }
 
 // NewRNG returns a deterministic generator for the given seed. The second PCG
 // word is a fixed golden-ratio constant so that adjacent seeds produce
 // decorrelated streams.
 func NewRNG(seed uint64) *RNG {
-	return newRNG(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
+	return newRNG(seed, 0x9e3779b97f4a7c15)
 }
 
-func newRNG(src *rand.PCG) *RNG {
-	return &RNG{Rand: rand.New(src), src: src}
+// newRNG returns the generator of rand.NewPCG(seed1, seed2).
+func newRNG(seed1, seed2 uint64) *RNG {
+	r := &RNG{src: pcg{hi: seed1, lo: seed2}}
+	r.Rand = *rand.New(&r.src)
+	return r
 }
 
 // Split derives an independent child stream from this generator. Each call
 // consumes two words from the parent, so the sequence of children is itself
 // deterministic.
 func (r *RNG) Split() *RNG {
-	return newRNG(rand.NewPCG(r.Uint64(), r.Uint64()))
+	return newRNG(r.Uint64(), r.Uint64())
 }
 
 // Uint64 returns the next 64-bit word of the stream, as rand.Rand's Uint64
@@ -60,6 +104,33 @@ func wordFloat64(x uint64) float64 {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
+}
+
+// Coin is a Bernoulli(p) test on raw words: Flip(x) reports whether x's
+// Float64 lies below p, so Flip(r.Uint64()) is r.Bernoulli(p) without the
+// float conversion, and a sampling loop inlines it.
+//
+// The test is exact. A word's Float64 is k/2^53 for its low 53 bits k, and
+// 2^53 is a power of two, so k/2^53 < p exactly when the integer k lies
+// below the real p·2^53, that is, below ceil(p·2^53); p·2^53 and its
+// ceiling are exact in float64 for p in [0, 1].
+type Coin uint64
+
+// NewCoin returns the test for p. A p of 1 or more always flips true and
+// one that is not positive, or NaN, never does, as Float64() < p would.
+func NewCoin(p float64) Coin {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return Coin(math.Ceil(p * (1 << 53)))
+}
+
+// Flip reports whether x's Float64 lies below the coin's p.
+func (c Coin) Flip(x uint64) bool {
+	return x<<11>>11 < uint64(c)
 }
 
 // Perm fills and returns a permutation of [0, n).
@@ -124,12 +195,13 @@ func NewCategorical(weights []float64) *Categorical {
 
 // Sample draws one index, consuming one word from r.
 func (c *Categorical) Sample(r *RNG) int {
-	return c.sampleWord(r.Uint64())
+	return c.SampleWord(r.Uint64())
 }
 
-// sampleWord returns the index drawn from the word x: the one Sample
-// returns when r's next word is x.
-func (c *Categorical) sampleWord(x uint64) int {
+// SampleWord returns the index drawn from the word x: the one Sample
+// returns when r's next word is x. A sampling loop calls it on
+// r.Uint64() so that both inline.
+func (c *Categorical) SampleWord(x uint64) int {
 	return c.walk(int(c.guide[x<<11>>11>>c.shift]), x)
 }
 

@@ -170,7 +170,7 @@ func TestCategoricalMatchesLinearScan(t *testing.T) {
 	ties := []float64{1, 0, 1, 2, 0, 4, 0}
 	for k := uint64(0); k < 8; k++ {
 		// Float64 is the low 53 bits of a word over 2^53: k<<50 gives k/8.
-		if i, j := NewCategorical(ties).sampleWord(k<<50), linearScan(ties, k<<50); i != j {
+		if i, j := NewCategorical(ties).SampleWord(k<<50), linearScan(ties, k<<50); i != j {
 			t.Fatalf("tie u=%d: Sample = %d, linear scan = %d", k, i, j)
 		}
 	}
@@ -233,7 +233,7 @@ func FuzzCategorical(f *testing.F) {
 		}
 		c := NewCategorical(w)
 		check := func(word uint64) {
-			if i, j := c.sampleWord(word), scanFrom(w, total, word); i != j {
+			if i, j := c.SampleWord(word), scanFrom(w, total, word); i != j {
 				t.Fatalf("%d weights, word %#x: Sample = %d, linear scan = %d", len(w), word, i, j)
 			}
 		}
@@ -489,5 +489,67 @@ func TestRMSEAndZeroOne(t *testing.T) {
 	}
 	if RMSE(nil, nil) != 0 || ZeroOneError(nil, nil) != 0 {
 		t.Fatal("empty error metrics should be 0")
+	}
+}
+
+// TestRNGStreamsShareNoState checks that every RNG owns its state: a parent,
+// its Split children and a second NewRNG of the same seed each yield their
+// own rand.PCG stream however draws through RNG's own methods and through
+// the embedded Rand interleave across them.
+func TestRNGStreamsShareNoState(t *testing.T) {
+	const golden = 0x9e3779b97f4a7c15
+	parent, twin := NewRNG(5), NewRNG(5)
+	wantParent := rand.New(rand.NewPCG(5, golden))
+	c1 := parent.Split()
+	want1 := rand.New(rand.NewPCG(wantParent.Uint64(), wantParent.Uint64()))
+	c2 := parent.Split()
+	want2 := rand.New(rand.NewPCG(wantParent.Uint64(), wantParent.Uint64()))
+	wantTwin := rand.New(rand.NewPCG(5, golden))
+	gens := []*RNG{parent, twin, c1, c2}
+	wants := []*rand.Rand{wantParent, wantTwin, want1, want2}
+	pick := rand.New(rand.NewPCG(1, 2))
+	for step := 0; step < 4000; step++ {
+		k := pick.IntN(len(gens))
+		var a, b uint64
+		switch pick.IntN(3) {
+		case 0:
+			a, b = gens[k].Uint64(), wants[k].Uint64()
+		case 1:
+			a, b = gens[k].Rand.Uint64(), wants[k].Uint64()
+		case 2:
+			a, b = uint64(gens[k].IntN(1000)), uint64(wants[k].IntN(1000))
+		}
+		if a != b {
+			t.Fatalf("step %d: generator %d drew %d, want %d", step, k, a, b)
+		}
+	}
+}
+
+// TestCoinMatchesFloat64 checks Coin's integer test against Float64() < p at
+// the words on either side of the threshold and at random words, for
+// probabilities at and near 0, 1/2 and 1 and for ones the sampler never
+// passes (negative, above 1, NaN).
+func TestCoinMatchesFloat64(t *testing.T) {
+	ps := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 0x1p-53, math.Nextafter(0x1p-53, 1), 0.1, 0.25,
+		math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), 0.9, math.Nextafter(1, 0), 1,
+		-0.1, math.Inf(-1), 1.5, math.Inf(1), math.NaN()}
+	gen := NewRNG(11)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, gen.Float64())
+	}
+	for _, p := range ps {
+		c := NewCoin(p)
+		words := []uint64{0, 1<<53 - 1, ^uint64(0)}
+		for _, k := range []uint64{uint64(c) - 1, uint64(c), uint64(c) + 1} {
+			words = append(words, k&(1<<53-1), k&(1<<53-1)|0x5bc<<53)
+		}
+		for i := 0; i < 100; i++ {
+			words = append(words, gen.Uint64())
+		}
+		for _, x := range words {
+			if got, want := c.Flip(x), wordFloat64(x) < p; got != want {
+				t.Fatalf("p = %v, word %#x: Flip = %v, Float64() < p = %v", p, x, got, want)
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"hamlet/internal/dataset"
+	"hamlet/internal/ml/nb"
 	"hamlet/internal/relational"
 	"hamlet/internal/stats"
 )
@@ -138,11 +139,13 @@ func (c SimConfig) Validate() error {
 type World struct {
 	// Cfg is the generating configuration.
 	Cfg SimConfig
-	// R[rid][j] is attribute table cell (rid, feature j), 0 or 1. The rows
-	// are windows of cells.
+	// R[rid][j] is attribute table cell (rid, feature j), 0 or 1.
 	R [][]int32
-	// cells holds R row-major: cell (rid, j) is cells[rid*DR+j].
-	cells []int32
+	// xr[j] is R's column j, xr[j][rid] = R[rid][j]: the sampling kernel
+	// reads X_R by FK from it. The columns are windows of one array.
+	xr [][]int32
+	// cards holds the FeatureLayout's cardinalities.
+	cards []int
 	// majority[rid] is the X_R majority vote used by AllXsXr.
 	majority []int32
 	// ridLabel[rid] is the latent per-RID label bit used by XsFkOnly.
@@ -166,10 +169,11 @@ func NewWorld(cfg SimConfig, seed uint64) (*World, error) {
 		return nil, err
 	}
 	rng := stats.NewRNG(seed)
-	w := &World{Cfg: cfg, cells: make([]int32, cfg.NR*cfg.DR)}
+	w := &World{Cfg: cfg}
+	cells := make([]int32, cfg.NR*cfg.DR)
 	w.R = make([][]int32, cfg.NR)
 	for rid := range w.R {
-		row := w.cells[rid*cfg.DR : (rid+1)*cfg.DR : (rid+1)*cfg.DR]
+		row := cells[rid*cfg.DR : (rid+1)*cfg.DR : (rid+1)*cfg.DR]
 		for j := range row {
 			row[j] = int32(rng.IntN(2))
 		}
@@ -186,6 +190,19 @@ func NewWorld(cfg SimConfig, seed uint64) (*World, error) {
 		w.R[0][0] = 0
 		w.R[cfg.NR-1][0] = 1
 	}
+	cols := make([]int32, cfg.DR*cfg.NR)
+	w.xr = make([][]int32, cfg.DR)
+	for j := range w.xr {
+		w.xr[j] = cols[j*cfg.NR : (j+1)*cfg.NR : (j+1)*cfg.NR]
+		for rid, row := range w.R {
+			w.xr[j][rid] = row[j]
+		}
+	}
+	w.cards = make([]int, cfg.DS+1+cfg.DR)
+	for f := range w.cards {
+		w.cards[f] = 2
+	}
+	w.cards[cfg.DS] = cfg.NR
 	w.majority = make([]int32, cfg.NR)
 	w.ridLabel = make([]int32, cfg.NR)
 	for rid, row := range w.R {
@@ -281,13 +298,12 @@ func (w *World) Sample(n int, rng *stats.RNG) *dataset.Design {
 // Sample or SampleInto of this world with the same n, every cell of m is
 // overwritten in place and m is returned; otherwise (m nil, or another
 // shape) a new design is allocated. Either way it consumes rng exactly as
-// Sample(n, rng) does, and the result equals Sample's. A Monte Carlo trial
-// loop uses it to redraw one training design per trial without allocating.
+// Sample(n, rng) does, and the result equals Sample's.
 //
 // Each row consumes the stream in a fixed order: the scenario's label and FK
-// draws, then one word per X_S cell in column order. The scenario is chosen
-// once per call, and X_R, which FK determines, is gathered from R column by
-// column after the row loop.
+// draws, then one word per X_S cell in column order. X_R, which FK
+// determines, takes no words; it is gathered from R column by column after
+// the row loop.
 func (w *World) SampleInto(m *dataset.Design, n int, rng *stats.RNG) *dataset.Design {
 	cfg := w.Cfg
 	if m == nil || len(m.Y) != n || len(m.Features) != cfg.DS+1+cfg.DR || m.Features[cfg.DS].Card != cfg.NR {
@@ -295,58 +311,144 @@ func (w *World) SampleInto(m *dataset.Design, n int, rng *stats.RNG) *dataset.De
 	}
 	// Columns follow the FeatureLayout: X_S in [0, DS), FK at DS, X_R
 	// after it.
-	xs, fk, xr := m.Features[:cfg.DS], m.Features[cfg.DS].Data[:n], m.Features[cfg.DS+1:]
-	y, p, dR := m.Y[:n], cfg.P, cfg.DR
+	fk := m.Features[cfg.DS].Data[:n]
+	w.draw(n, rng, &rowSink{y: m.Y[:n], fk: fk, xs: m.Features[:cfg.DS]})
+	for j, col := range w.xr {
+		dst := m.Features[cfg.DS+1+j].Data[:n]
+		for i, rid := range fk {
+			dst[i] = col[rid]
+		}
+	}
+	return m
+}
+
+// TallyInto draws n rows as SampleInto does, taking every word of rng that
+// SampleInto takes, and returns their Naive Bayes sufficient statistics
+// without storing a row: the Stats equal nb.NewStats of the design
+// SampleInto(nil, n, rng) would return, cell for cell. It recounts into s
+// when s has this world's shape, as Stats from an earlier TallyInto of the
+// world do, and allocates Stats otherwise; either way nb.stats_builds
+// counts one tabulation.
+//
+// Each row adds its label, FK and X_S cells to their tables. X_R's tables
+// follow FK's through the FD FK → X_R: summing FK's class × n_R table
+// through R (nb.SumThrough) costs 2·n_R additions per column, counting each
+// row's X_R cells n, so X_R is summed through R when 2·n_R ≤ n and counted
+// per row otherwise. Both give the same integers.
+func (w *World) TallyInto(s *nb.Stats, n int, rng *stats.RNG) *nb.Stats {
+	cfg := w.Cfg
+	s = nb.Recount(s, n, 2, w.cards)
+	fk, xr := s.Counts[cfg.DS], s.Counts[cfg.DS+1:]
+	out := rowSink{tally: true, fkTab: fk, xsTab: s.Counts[:cfg.DS], nR: cfg.NR}
+	throughFD := 2*cfg.NR <= n
+	if !throughFD {
+		out.xr, out.xrTab = w.xr, xr
+	}
+	w.draw(n, rng, &out)
+	for c := range s.ClassCounts {
+		for _, k := range fk[c*cfg.NR : (c+1)*cfg.NR] {
+			s.ClassCounts[c] += k
+		}
+	}
+	if throughFD {
+		for j, tab := range xr {
+			nb.SumThrough(tab, fk, 2, w.xr[j], 2)
+		}
+	}
+	return s
+}
+
+// rowSink takes the rows of one draw: it stores each row's cells into
+// design columns or, with tally set, adds them to count tables laid out
+// like nb.Stats.Counts. The switch holds for the whole draw, so its branch
+// is always predicted, and SampleInto and TallyInto share one row loop.
+type rowSink struct {
+	tally bool
+	// y, fk and the X_S columns xs receive the cells when storing.
+	y, fk []int32
+	xs    []dataset.Feature
+	// fkTab and the X_S tables xsTab receive the counts when tallying, FK's
+	// over nR RIDs; xrTab receives X_R's counts, read from R's columns xr,
+	// when they are counted per row (xr nil otherwise).
+	fkTab        []int
+	xsTab, xrTab [][]int
+	xr           [][]int32
+	nR           int
+}
+
+// row takes row i's label and FK.
+func (s *rowSink) row(i int, label int32, rid int) {
+	if !s.tally {
+		s.y[i], s.fk[i] = label, int32(rid)
+		return
+	}
+	s.fkTab[int(label)*s.nR+rid]++
+	for j, col := range s.xr {
+		s.xrTab[j][2*label+col[rid]]++
+	}
+}
+
+// cell takes row i's X_S cell j, v, given the row's label.
+func (s *rowSink) cell(i, j int, label, v int32) {
+	if !s.tally {
+		s.xs[j].Data[i] = v
+		return
+	}
+	s.xsTab[j][2*label+v]++
+}
+
+// draw is the sampling kernel: it draws n rows of the scenario, taking each
+// row's words in the order SampleInto documents, and hands every row to
+// out. The scenario is chosen once per call, and every word is drawn and
+// read by inlined code: RNG.Uint64, Categorical.SampleWord and Coin.Flip,
+// whose test is exactly Bernoulli's.
+func (w *World) draw(n int, rng *stats.RNG, out *rowSink) {
+	cfg := w.Cfg
+	dS, noise := cfg.DS, stats.NewCoin(cfg.P)
 	switch cfg.Scenario {
 	case OneXr:
 		// P(Y=0|X_r=0) = P(Y=1|X_r=1) = p, and X_S cells are fair coins.
-		for i := range y {
-			rid := w.fk.Sample(rng)
-			fk[i] = int32(rid)
-			y[i] = w.cells[rid*dR] ^ 1 ^ bit(rng.Float64() < p)
-			for j := range xs {
-				xs[j].Data[i] = int32(rng.Uint64() & 1)
+		fk, xr0 := w.fk, w.xr[0]
+		for i := 0; i < n; i++ {
+			rid := fk.SampleWord(rng.Uint64())
+			label := xr0[rid] ^ 1 ^ bit(noise.Flip(rng.Uint64()))
+			out.row(i, label, rid)
+			for j := 0; j < dS; j++ {
+				out.cell(i, j, label, int32(rng.Uint64()&1))
 			}
 		}
 	case AllXsXr:
 		// Y is a fair coin; FK is drawn from the RIDs whose majority vote
 		// is Y flipped with probability p, weighted by the FK marginal
 		// restricted to them; X_S cells echo Y through the p-noisy channel.
-		for i := range y {
+		for i := 0; i < n; i++ {
 			label := int32(rng.Uint64() & 1)
-			target := label ^ bit(rng.Float64() < p)
+			target := label ^ bit(noise.Flip(rng.Uint64()))
 			voters := w.votersByBit[target]
 			var rid int
 			if cat := w.voterFK[target]; cat != nil {
-				rid = voters[cat.Sample(rng)]
+				rid = voters[cat.SampleWord(rng.Uint64())]
 			} else {
 				rid = voters[rng.IntN(len(voters))]
 			}
-			y[i], fk[i] = label, int32(rid)
-			for j := range xs {
-				xs[j].Data[i] = label ^ bit(rng.Float64() < p)
+			out.row(i, label, rid)
+			for j := 0; j < dS; j++ {
+				out.cell(i, j, label, label^bit(noise.Flip(rng.Uint64())))
 			}
 		}
 	case XsFkOnly:
 		// Y is FK's latent label flipped with probability p; X_S cells
 		// echo Y through the same channel.
-		for i := range y {
-			rid := w.fk.Sample(rng)
-			label := w.ridLabel[rid] ^ bit(rng.Float64() < p)
-			y[i], fk[i] = label, int32(rid)
-			for j := range xs {
-				xs[j].Data[i] = label ^ bit(rng.Float64() < p)
+		fk := w.fk
+		for i := 0; i < n; i++ {
+			rid := fk.SampleWord(rng.Uint64())
+			label := w.ridLabel[rid] ^ bit(noise.Flip(rng.Uint64()))
+			out.row(i, label, rid)
+			for j := 0; j < dS; j++ {
+				out.cell(i, j, label, label^bit(noise.Flip(rng.Uint64())))
 			}
 		}
 	}
-	// X_R follows FK through the FD: gather each column from R's cells.
-	for j := range xr {
-		col, cells := xr[j].Data[:n], w.cells[j:]
-		for i, rid := range fk {
-			col[i] = cells[int(rid)*dR]
-		}
-	}
-	return m
 }
 
 // bit is 1 if b holds and 0 otherwise; the compiler sets it from the

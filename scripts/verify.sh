@@ -8,38 +8,44 @@
 #   1. gofmt -l must report nothing
 #   2. go build ./...
 #   3. go vet ./...
-#   4. go test ./...            (-short mode: go test -short ./...)
-#   5. go test -race ./...      (skipped in -short mode; CI runs the full
+#   4. inliner guard: `go build -gcflags=-m ./internal/stats` must report
+#      that (*RNG).Uint64, its PCG step (*pcg).Uint64,
+#      (*Categorical).SampleWord and Coin.Flip can inline. The Monte Carlo
+#      sampling kernel (synth's World.draw) takes every word through them,
+#      and a single extra node in that code silently puts a function call
+#      back on every word.
+#   5. go test ./...            (-short mode: go test -short ./...)
+#   6. go test -race ./...      (skipped in -short mode; CI runs the full
 #      gate on one matrix leg so the race leg stays the long pole while
 #      the other legs finish fast)
-#   6. benchmark module: `go vet ./...` and `go test ./...` inside
+#   7. benchmark module: `go vet ./...` and `go test ./...` inside
 #      benchmark/, which is its own Go module (replace hamlet => ../), so
 #      the root ./... never compiles it; its tests run the toy workloads
 #      and check testdata/analyze_seed1.golden.json, catching a change to
 #      the library API or outputs that would break the benchmark
-#   7. benchdiff smoke test against the committed fixture snapshots: a
+#   8. benchdiff smoke test against the committed fixture snapshots: a
 #      clean comparison must exit 0, the injected >10% time regression must
 #      exit 1, and the injected memory-only regression (B/op + allocs/op
 #      moved, ns/op flat) must also exit 1, so both halves of the perf gate
 #      are themselves gated; a single-sample baseline must exit 3
 #      (vacuous), since no delta against it can be t-tested; and an
 #      out-of-range gate parameter (-alpha 0) must exit 2 (usage).
-#   8. report smoke test against the committed run-dir fixtures: tables
+#   9. report smoke test against the committed run-dir fixtures: tables
 #      and the trace.json profile must render, the identical-run diff
 #      must exit 0, and the seeded-drift fixture must exit 1, so the
 #      accuracy gate itself is gated the same way.
-#   9. loadgen smoke test: a short in-process load run must produce a run
+#  10. loadgen smoke test: a short in-process load run must produce a run
 #      dir whose histograms.json `report latency` renders with exit 0; the
 #      committed seeded-regression fixture must make the latency gate exit
 #      1, and the identical-run latency diff must exit 0.
-#  10. advisord smoke test: the daemon must come up on an ephemeral port
+#  11. advisord smoke test: the daemon must come up on an ephemeral port
 #      (with tracing and SLO flags on), answer a loadgen -url round trip,
 #      serve a /metrics exposition with a nonzero request counter, an SLO
 #      burn gauge and the metrics registry's hamlet_* series that `report
 #      watch` parses, drain cleanly on SIGTERM
 #      (exit 0), remove its addrfile, and flush a histograms.json that
 #      `report latency` renders.
-#  11. tracing smoke test: the loadgen -url leg runs with -trace-sample 1,
+#  12. tracing smoke test: the loadgen -url leg runs with -trace-sample 1,
 #      so both sides persist traces.jsonl; a client trace ID must appear in
 #      the server's traces.jsonl, `report trace client server` must render
 #      the merged cross-process tree with the server span nested under the
@@ -68,6 +74,15 @@ go build ./...
 
 echo "verify: go vet ./..." >&2
 go vet ./...
+
+echo "verify: sampling kernel inlines" >&2
+inlined="$(go build -gcflags=-m ./internal/stats 2>&1)"
+for fn in '(\*RNG)\.Uint64' '(\*pcg)\.Uint64' '(\*Categorical)\.SampleWord' 'Coin\.Flip'; do
+    if ! printf '%s\n' "$inlined" | grep -q "can inline $fn\$"; then
+        echo "verify: stats $fn no longer inlines (go build -gcflags=-m=2 ./internal/stats shows its cost)" >&2
+        exit 1
+    fi
+done
 
 if [ "$short" = 1 ]; then
     echo "verify: go test -short ./..." >&2
