@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"hamlet/internal/biasvar"
 	"hamlet/internal/core"
 	"hamlet/internal/fs"
 	"hamlet/internal/ml"
+	"hamlet/internal/stats"
 	"hamlet/internal/synth"
 )
 
@@ -23,19 +23,7 @@ import (
 // n_S since dropping X_R loses nothing, while NoFK gets steadily worse
 // because FK is irreplaceable.
 func RunXsFk(b Budget) (*Result, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	errT, nvT := sweepTables("Scenario XsFkOnly", "n_S")
-	for _, nS := range NSSweep {
-		sim := synth.SimConfig{Scenario: synth.XsFkOnly, DS: 2, DR: 4, NR: 40, P: 0.1}
-		out, err := simPoint(sim, nS, b, b.Seed+130)
-		if err != nil {
-			return nil, err
-		}
-		addSweepRow(errT, nvT, d(nS), out)
-	}
-	return &Result{ID: "xsfk", Tables: []*Table{errT, nvT}}, nil
+	return runSweeps("xsfk", b, errorAndNetVariance, xsfkSweeps)
 }
 
 // RunFCBF is the instance-vs-schema redundancy ablation: FCBF (Yu & Liu's
@@ -143,10 +131,7 @@ func RunSkewGuard(b Budget) (*Result, error) {
 	}
 	const nS = 500
 	for _, c := range cases {
-		out, err := biasvar.Run(c.cfg, biasvar.Config{
-			NTrain: nS, NTest: b.NTest, L: b.L, Worlds: b.Worlds, Seed: b.Seed + 160,
-			Workers: b.Workers, Learner: nbLearner(),
-		})
+		out, err := simPoint(c.cfg, nS, b, b.Seed+160)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +139,7 @@ func RunSkewGuard(b Budget) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds, err := world.Dataset("skew", nS, rngFor(b.Seed+162))
+		ds, err := world.Dataset("skew", nS, stats.NewRNG(b.Seed+162))
 		if err != nil {
 			return nil, err
 		}

@@ -30,52 +30,37 @@ func RunFig1(b Budget) (*Result, error) {
 	th := core.DefaultThresholds
 	grid := &Table{Title: "Figure 1: rule verdicts vs actual safety per configuration",
 		Columns: []string{"n_S", "|D_FK|", "dErr", "safeActual(A)", "safeROR(C)", "safeTR(D)"}}
+	points, err := gridScatter(synth.OneXr, b, func(nS, nR int) uint64 { return b.Seed + uint64(190+nS*3+nR) })
+	if err != nil {
+		return nil, err
+	}
 	var total, inA, inC, inD, violCA, violDA, missedCA, missedDA int
-	for _, nS := range NSSweep {
-		for _, nR := range FKSweep {
-			if nR*4 >= nS {
-				continue
-			}
-			sim := synth.SimConfig{Scenario: synth.OneXr, DS: 2, DR: 4, NR: nR, P: 0.1}
-			out, err := simPoint(sim, nS, b, b.Seed+uint64(190+nS*3+nR))
-			if err != nil {
-				return nil, err
-			}
-			dErr := out["NoJoin"].TestError - out["UseAll"].TestError
-			a := dErr <= tolerance
-			ror, err := core.ROR(nS, nR, 2, core.DefaultDelta)
-			if err != nil {
-				return nil, err
-			}
-			c := ror <= th.Rho
-			tr, err := core.TupleRatio(nS, nR)
-			if err != nil {
-				return nil, err
-			}
-			dd := tr >= th.Tau
-			grid.Add(d(nS), d(nR), f(dErr), fmt.Sprintf("%v", a), fmt.Sprintf("%v", c), fmt.Sprintf("%v", dd))
-			total++
-			if a {
-				inA++
-			}
-			if c {
-				inC++
-			}
-			if dd {
-				inD++
-			}
-			if c && !a {
-				violCA++
-			}
-			if dd && !a {
-				violDA++
-			}
-			if a && !c {
-				missedCA++
-			}
-			if a && !dd {
-				missedDA++
-			}
+	for _, p := range points {
+		a := p.DeltaError <= tolerance
+		c := p.ROR <= th.Rho
+		dd := p.TR >= th.Tau
+		grid.Add(d(p.nS), d(p.nR), f(p.DeltaError), fmt.Sprintf("%v", a), fmt.Sprintf("%v", c), fmt.Sprintf("%v", dd))
+		total++
+		if a {
+			inA++
+		}
+		if c {
+			inC++
+		}
+		if dd {
+			inD++
+		}
+		if c && !a {
+			violCA++
+		}
+		if dd && !a {
+			violDA++
+		}
+		if a && !c {
+			missedCA++
+		}
+		if a && !dd {
+			missedDA++
 		}
 	}
 	sum := &Table{Title: "Figure 1 summary: safety guarantees and conservatism",
@@ -96,31 +81,18 @@ func RunFig1(b Budget) (*Result, error) {
 	gap := &Table{Title: "Figure 5 scenario: q_R* = |D_FK| — where the ROR rule sees what the TR rule cannot",
 		Columns: []string{"n_S", "|D_FK|", "TR", "ROR(qR*=2)", "ROR(qR*=|D_FK|)", "TRclears", "RORclears"}}
 	gapCD := 0
-	for _, nS := range NSSweep {
-		for _, nR := range FKSweep {
-			if nR*4 >= nS {
-				continue
-			}
-			tr, err := core.TupleRatio(nS, nR)
-			if err != nil {
-				return nil, err
-			}
-			rorSmall, err := core.ROR(nS, nR, 2, core.DefaultDelta)
-			if err != nil {
-				return nil, err
-			}
-			rorEqual, err := core.ROR(nS, nR, nR, core.DefaultDelta)
-			if err != nil {
-				return nil, err
-			}
-			trClears := tr >= th.Tau
-			rorClears := rorEqual <= th.Rho
-			if rorClears && !trClears {
-				gapCD++
-			}
-			gap.Add(d(nS), d(nR), f(tr), f(rorSmall), f(rorEqual),
-				fmt.Sprintf("%v", trClears), fmt.Sprintf("%v", rorClears))
+	for _, p := range points {
+		rorEqual, err := core.ROR(p.nS, p.nR, p.nR, core.DefaultDelta)
+		if err != nil {
+			return nil, err
 		}
+		trClears := p.TR >= th.Tau
+		rorClears := rorEqual <= th.Rho
+		if rorClears && !trClears {
+			gapCD++
+		}
+		gap.Add(d(p.nS), d(p.nR), f(p.TR), f(p.ROR), f(rorEqual),
+			fmt.Sprintf("%v", trClears), fmt.Sprintf("%v", rorClears))
 	}
 	sum.Add("Figure-5 gap: C∖D when qR*=|D_FK| (ROR clears, TR refuses)", d(gapCD))
 	return &Result{ID: "fig1", Tables: []*Table{grid, sum, gap}}, nil

@@ -12,6 +12,7 @@ import (
 	"hamlet/internal/ml"
 	"hamlet/internal/ml/logreg"
 	"hamlet/internal/ml/nb"
+	"hamlet/internal/ml/tan"
 	"hamlet/internal/obs"
 	"hamlet/internal/stats"
 	"hamlet/internal/synth"
@@ -371,7 +372,7 @@ func RunTAN(b Budget) (*Result, error) {
 	}
 	t := &Table{Title: "Appendix E: TAN vs Naive Bayes on joined data (UseAll features)",
 		Columns: []string{"n_S", "NB", "TAN", "TAN-NB"}}
-	sim := oneXrBase()
+	sim := synth.SimConfig{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1}
 	rng := stats.NewRNG(b.Seed + 120)
 	nsGrid := []int{200, 500, 1000, 2000}
 	b.Progress.AddTotal(int64(len(nsGrid) * b.Worlds))
@@ -389,7 +390,7 @@ func RunTAN(b Budget) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			e2, err := ml.Evaluate(tanLearner(), train, test, feats)
+			e2, err := ml.Evaluate(tan.New(), train, test, feats)
 			if err != nil {
 				return nil, err
 			}
@@ -422,11 +423,11 @@ func RunTAN(b Budget) (*Result, error) {
 		for i := range feats {
 			feats[i] = i
 		}
-		nbE, err := ml.Evaluate(nbLearner(), train, test, feats)
+		nbE, err := ml.Evaluate(nb.New(), train, test, feats)
 		if err != nil {
 			return nil, err
 		}
-		tanE, err := ml.Evaluate(tanLearner(), train, test, feats)
+		tanE, err := ml.Evaluate(tan.New(), train, test, feats)
 		if err != nil {
 			return nil, err
 		}

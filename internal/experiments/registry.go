@@ -3,21 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"hamlet/internal/ml"
-	"hamlet/internal/ml/nb"
-	"hamlet/internal/ml/tan"
-	"hamlet/internal/stats"
 )
-
-// tanLearner and nbLearner construct the learners; isolated here so the
-// figure runners read uniformly.
-func tanLearner() ml.Learner { return tan.New() }
-
-func nbLearner() ml.Learner { return nb.New() }
-
-// rngFor derives a deterministic stream for a runner step.
-func rngFor(seed uint64) *stats.RNG { return stats.NewRNG(seed) }
 
 // Runner regenerates one paper artifact.
 type Runner func(Budget) (*Result, error)
