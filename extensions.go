@@ -85,12 +85,12 @@ var SymmetricUncertainty = fs.SymmetricUncertainty
 // EqualWidthBins discretizes a numeric series into equal-width bins — the
 // paper's preprocessing for numeric features (§2.1 fn. 1, §5).
 func EqualWidthBins(name string, values []float64, bins int) (*Column, error) {
-	return dataset.EqualWidthBins(name, values, bins)
+	return relational.EqualWidthBins(name, values, bins)
 }
 
 // EqualFrequencyBins discretizes a numeric series into equal-count bins.
 func EqualFrequencyBins(name string, values []float64, bins int) (*Column, error) {
-	return dataset.EqualFrequencyBins(name, values, bins)
+	return relational.EqualFrequencyBins(name, values, bins)
 }
 
 // NewKFold draws a k-fold cross-validation partition of [0, n) — the §2.2

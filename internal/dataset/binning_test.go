@@ -2,14 +2,20 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"hamlet/internal/relational"
 	"hamlet/internal/stats"
 )
 
+// The binning that turns numeric series into the nominal columns datasets
+// are built from lives in relational, where ReadCSV bins numeric CSV columns
+// with it; these tests exercise it through that package's API.
+
 func TestEqualWidthBinsBasic(t *testing.T) {
-	c, err := EqualWidthBins("x", []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
+	c, err := relational.EqualWidthBins("x", []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +34,7 @@ func TestEqualWidthBinsBasic(t *testing.T) {
 }
 
 func TestEqualWidthBinsUpperEdge(t *testing.T) {
-	c, err := EqualWidthBins("x", []float64{0, 10}, 4)
+	c, err := relational.EqualWidthBins("x", []float64{0, 10}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +44,7 @@ func TestEqualWidthBinsUpperEdge(t *testing.T) {
 }
 
 func TestEqualWidthBinsConstantSeries(t *testing.T) {
-	c, err := EqualWidthBins("x", []float64{5, 5, 5}, 3)
+	c, err := relational.EqualWidthBins("x", []float64{5, 5, 5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +55,38 @@ func TestEqualWidthBinsConstantSeries(t *testing.T) {
 	}
 }
 
+// TestEqualWidthBinsWideRange bins ranges whose width hi - lo overflows a
+// float64: every value must still land in the bin of its position.
+func TestEqualWidthBinsWideRange(t *testing.T) {
+	for _, c := range []struct {
+		vals []float64
+		bins int
+		want []int32
+	}{
+		{[]float64{-1e308, 0, 1e308}, 2, []int32{0, 1, 1}},
+		{[]float64{-1e308, -4e307, 4e307, 1e308}, 4, []int32{0, 1, 2, 3}},
+	} {
+		col, err := relational.EqualWidthBins("x", c.vals, c.bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(col.Data, c.want) {
+			t.Errorf("bins of %v = %v, want %v", c.vals, col.Data, c.want)
+		}
+	}
+}
+
 func TestEqualWidthBinsErrors(t *testing.T) {
-	if _, err := EqualWidthBins("x", []float64{1}, 0); err == nil {
+	if _, err := relational.EqualWidthBins("x", []float64{1}, 0); err == nil {
 		t.Fatal("zero bins accepted")
 	}
-	if _, err := EqualWidthBins("x", nil, 3); err == nil {
+	if _, err := relational.EqualWidthBins("x", nil, 3); err == nil {
 		t.Fatal("empty series accepted")
 	}
-	if _, err := EqualWidthBins("x", []float64{1, math.NaN()}, 3); err == nil {
+	if _, err := relational.EqualWidthBins("x", []float64{1, math.NaN()}, 3); err == nil {
 		t.Fatal("NaN accepted")
 	}
-	if _, err := EqualWidthBins("x", []float64{1, math.Inf(1)}, 3); err == nil {
+	if _, err := relational.EqualWidthBins("x", []float64{1, math.Inf(1)}, 3); err == nil {
 		t.Fatal("Inf accepted")
 	}
 }
@@ -73,7 +100,7 @@ func TestEqualWidthBinsProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Float64()*200 - 100
 		}
-		c, err := EqualWidthBins("x", vals, bins)
+		c, err := relational.EqualWidthBins("x", vals, bins)
 		if err != nil {
 			return false
 		}
@@ -99,7 +126,7 @@ func TestEqualFrequencyBinsBalanced(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i * i) // heavily skewed
 	}
-	c, err := EqualFrequencyBins("x", vals, 4)
+	c, err := relational.EqualFrequencyBins("x", vals, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +143,7 @@ func TestEqualFrequencyBinsBalanced(t *testing.T) {
 
 func TestEqualFrequencyBinsTiesShareBin(t *testing.T) {
 	vals := []float64{1, 1, 1, 1, 2, 3, 4, 5}
-	c, err := EqualFrequencyBins("x", vals, 4)
+	c, err := relational.EqualFrequencyBins("x", vals, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +164,7 @@ func TestEqualFrequencyBinsMonotone(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(rng.IntN(30)) // many ties
 		}
-		c, err := EqualFrequencyBins("x", vals, bins)
+		c, err := relational.EqualFrequencyBins("x", vals, bins)
 		if err != nil {
 			return false
 		}
@@ -161,13 +188,13 @@ func TestEqualFrequencyBinsMonotone(t *testing.T) {
 }
 
 func TestEqualFrequencyBinsErrors(t *testing.T) {
-	if _, err := EqualFrequencyBins("x", []float64{1}, 0); err == nil {
+	if _, err := relational.EqualFrequencyBins("x", []float64{1}, 0); err == nil {
 		t.Fatal("zero bins accepted")
 	}
-	if _, err := EqualFrequencyBins("x", nil, 2); err == nil {
+	if _, err := relational.EqualFrequencyBins("x", nil, 2); err == nil {
 		t.Fatal("empty series accepted")
 	}
-	if _, err := EqualFrequencyBins("x", []float64{math.NaN()}, 2); err == nil {
+	if _, err := relational.EqualFrequencyBins("x", []float64{math.NaN()}, 2); err == nil {
 		t.Fatal("NaN accepted")
 	}
 }

@@ -109,7 +109,7 @@ func ReadCSV(name string, r io.Reader, opts ReadCSVOptions) (*Table, map[string]
 	for ci, colName := range header {
 		if opts.NumericBins > 0 {
 			if vals, ok := parseNumeric(raw[ci]); ok {
-				col, err := equalWidth(colName, vals, opts.NumericBins)
+				col, err := EqualWidthBins(colName, vals, opts.NumericBins)
 				if err != nil {
 					return nil, nil, fmt.Errorf("relational: csv %q column %q: %w", name, colName, err)
 				}
@@ -147,37 +147,6 @@ func parseNumeric(vals []string) ([]float64, bool) {
 		out[i] = f
 	}
 	return out, true
-}
-
-// equalWidth mirrors dataset.EqualWidthBins; duplicated minimally here to
-// keep the relational package free of a dataset dependency (which would be
-// cyclic).
-func equalWidth(name string, values []float64, bins int) (*Column, error) {
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v != v || v > 1e308 || v < -1e308 {
-			return nil, fmt.Errorf("non-finite value")
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	data := make([]int32, len(values))
-	if lo == hi {
-		return &Column{Name: name, Card: bins, Data: data}, nil
-	}
-	width := (hi - lo) / float64(bins)
-	for i, v := range values {
-		b := int((v - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		data[i] = int32(b)
-	}
-	return &Column{Name: name, Card: bins, Data: data}, nil
 }
 
 // WriteCSV writes the table as CSV. Columns with a dictionary in dicts are

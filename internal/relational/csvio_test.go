@@ -2,6 +2,7 @@ package relational
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,26 @@ func TestReadCSVNumericBinning(t *testing.T) {
 	}
 }
 
+// TestReadCSVNumericBinningExtremes bins numeric columns at the edges of
+// the float range: 1.5e308 is finite and must be accepted, and a range whose
+// width overflows must still bin by value.
+func TestReadCSVNumericBinningExtremes(t *testing.T) {
+	csv := "Big,Wide\n1,-1e308\n1.5e308,0\n2,1e308\n"
+	tab, _, err := ReadCSV("T", strings.NewReader(csv), ReadCSVOptions{NumericBins: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		col  string
+		want []int32
+	}{{"Big", []int32{0, 1, 0}}, {"Wide", []int32{0, 1, 1}}} {
+		got := tab.Column(c.col).Data
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s bins = %v, want %v", c.col, got, c.want)
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,6 +94,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"ragged row", "a,b\n1\n", ReadCSVOptions{}},
 		{"no data rows", "a,b\n", ReadCSVOptions{}},
 		{"cardinality limit", "a\nx\ny\nz\n", ReadCSVOptions{MaxCardinality: 2}},
+		{"non-finite numeric value", "a\n1\nInf\n", ReadCSVOptions{NumericBins: 2}},
 	}
 	for _, c := range cases {
 		if _, _, err := ReadCSV("T", strings.NewReader(c.csv), c.opts); err == nil {
