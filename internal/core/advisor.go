@@ -126,11 +126,16 @@ func (a *Advisor) JoinOptPlan(d *dataset.Dataset) (dataset.Plan, []Decision, err
 	if err != nil {
 		return dataset.Plan{}, nil, err
 	}
+	return planFrom(decisions), decisions, nil
+}
+
+// planFrom joins every attribute table whose decision does not avoid it.
+func planFrom(decisions []Decision) dataset.Plan {
 	var p dataset.Plan
 	for _, dec := range decisions {
 		if !(dec.Considered && dec.Avoid) {
 			p.JoinFKs = append(p.JoinFKs, dec.FK)
 		}
 	}
-	return p, decisions, nil
+	return p
 }

@@ -106,13 +106,7 @@ func (a *Advisor) JointJoinOptPlan(d *dataset.Dataset) (dataset.Plan, []Decision
 			decisions[i].Reason = fmt.Sprintf("joint ROR of the avoid set would exceed ρ %.2f", th.Rho)
 		}
 	}
-	var p dataset.Plan
-	for _, dec := range decisions {
-		if !(dec.Considered && dec.Avoid) {
-			p.JoinFKs = append(p.JoinFKs, dec.FK)
-		}
-	}
-	return p, decisions, nil
+	return planFrom(decisions), decisions, nil
 }
 
 // RORMultiClass generalizes the worst-case ROR to C-class targets. The VC

@@ -34,54 +34,37 @@ func (e Embedded) Name() string { return "embedded-" + e.Penalty.String() }
 // means); passing a non-nil learner of another type is not an error, to let
 // harness code treat all methods uniformly.
 func (e Embedded) Select(_ ml.Learner, train, val *dataset.Design) (Result, error) {
-	if err := checkDesigns(train, val); err != nil {
+	best, bestErr, evals, err := e.search(train, val)
+	if err != nil {
 		return Result{}, err
-	}
-	lambdas := e.Lambdas
-	if len(lambdas) == 0 {
-		lambdas = DefaultLambdas
 	}
 	tol := e.Tol
 	if tol == 0 {
 		tol = 1e-6
 	}
-	all := make([]int, train.NumFeatures())
-	for i := range all {
-		all[i] = i
-	}
-	metric := ml.MetricFor(train.NumClasses)
-	var best *logreg.Model
-	bestErr := 0.0
-	evals := 0
-	for i, lam := range lambdas {
-		l := logreg.New(e.Penalty)
-		l.Config.Lambda = lam
-		mod, err := l.Fit(train, all)
-		if err != nil {
-			return Result{}, err
-		}
-		evals++
-		lm := mod.(*logreg.Model)
-		errV := metric(ml.PredictAll(lm, val), val.Y)
-		if i == 0 || errV < bestErr {
-			best, bestErr = lm, errV
-		}
-	}
 	var active []int
-	for j := range all {
+	for j := 0; j < train.NumFeatures(); j++ {
 		if best.FeatureActive(j, tol) {
-			active = append(active, all[j])
+			active = append(active, j)
 		}
 	}
 	observeRun(evals)
 	return Result{Features: active, ValError: bestErr, Evaluations: evals}, nil
 }
 
-// FitBest refits the winning configuration and returns the trained model,
-// for callers that need the model itself (e.g. test-error reporting).
+// FitBest runs Select's λ search and returns the winning model, for callers
+// that need the model itself (e.g. test-error reporting).
 func (e Embedded) FitBest(train, val *dataset.Design) (*logreg.Model, error) {
+	best, _, _, err := e.search(train, val)
+	return best, err
+}
+
+// search fits the penalized model on all of train's features at every λ of
+// the grid and returns the one with the lowest validation error (the first
+// on a tie), that error and the number of fits.
+func (e Embedded) search(train, val *dataset.Design) (*logreg.Model, float64, int, error) {
 	if err := checkDesigns(train, val); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	lambdas := e.Lambdas
 	if len(lambdas) == 0 {
@@ -99,7 +82,7 @@ func (e Embedded) FitBest(train, val *dataset.Design) (*logreg.Model, error) {
 		l.Config.Lambda = lam
 		mod, err := l.Fit(train, all)
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		lm := mod.(*logreg.Model)
 		errV := metric(ml.PredictAll(lm, val), val.Y)
@@ -107,5 +90,5 @@ func (e Embedded) FitBest(train, val *dataset.Design) (*logreg.Model, error) {
 			best, bestErr = lm, errV
 		}
 	}
-	return best, nil
+	return best, bestErr, len(lambdas), nil
 }

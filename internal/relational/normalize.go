@@ -60,22 +60,7 @@ func Closure(attrs []string, fds []FD) ([]string, error) {
 			return nil, err
 		}
 	}
-	closure := newAttrSet(attrs...)
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range fds {
-			if !closure.containsAll(fd.Det) {
-				continue
-			}
-			for _, dep := range fd.Dep {
-				if !closure[dep] {
-					closure[dep] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return closure.sorted(), nil
+	return closureSet(newAttrSet(attrs...), fds).sorted(), nil
 }
 
 // closureSet is Closure returning a set, with validation skipped (internal
