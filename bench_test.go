@@ -62,14 +62,13 @@ func BenchmarkFig12(b *testing.B) { benchFigure(b, "fig12") }
 func BenchmarkFig13(b *testing.B) { benchFigure(b, "fig13") }
 func BenchmarkTAN(b *testing.B)   { benchFigure(b, "tan") }
 
-// Monte Carlo engine scaling: one fig7-class simulation sweep (a deep
-// bias–variance point: 8 worlds × 24 training samples of 1,000 rows, each
-// scored under three model classes; an op takes tens of milliseconds on one
-// worker) at fixed worker counts. The decompositions are bitwise-identical
-// across the sub-benchmarks — only wall time moves — so the ratio between
-// workers=1 and workers=N is the engine's parallel speedup on this machine
-// (near-linear up to GOMAXPROCS; on a single-core runner all counts
-// collapse to the serial time).
+// Monte Carlo engine scaling: Figure 3(A)'s OneXr point at n_S = 1000 at a
+// deep budget (8 worlds × 24 training samples of 1,000 rows, each scored
+// under three model classes) at fixed worker counts. The decompositions are
+// bitwise-identical across the sub-benchmarks — only wall time moves — so
+// the ratio between workers=1 and workers=N is the engine's parallel
+// speedup on this machine (near-linear up to GOMAXPROCS; on a single-core
+// runner all counts collapse to the serial time).
 func BenchmarkMonteCarloWorkers(b *testing.B) {
 	sim := synth.SimConfig{Scenario: synth.OneXr, DS: 2, DR: 4, NR: 40, P: 0.1}
 	for _, workers := range []int{1, 2, 4, 8} {
